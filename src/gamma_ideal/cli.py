@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -283,6 +284,28 @@ def cmd_selftest(config: CliConfig) -> int:
     return 0 if ok else 1
 
 
+def _sample_count(text: str) -> int:
+    """``--samples``: an int of at least 1; no samples would check nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite float above zero, so that a residual can pass it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _build_argparser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamma-ideal",
@@ -296,9 +319,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, sampled: bool) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if sampled:
-            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+            p.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p_classes = sub.add_parser("classes", help="integer-difference class report")
     p_classes.add_argument("shifts", help="comma-separated shift list, e.g. '0,1/2,i'")
@@ -321,7 +344,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     add_common(p_gamma, sampled=False)
 
     p_selftest = sub.add_parser("selftest", help="worked examples + numeric checks")
-    p_selftest.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p_selftest.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
     p_selftest.add_argument("--seed", type=int, default=None)
     p_selftest.add_argument("--json", action="store_true")
     return parser

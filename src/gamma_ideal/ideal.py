@@ -102,35 +102,33 @@ class Verdict:
         }
 
 
-def _rewrite_multipliers(sys: ShiftSystem) -> Dict[int, UniPoly]:
-    """multiplier_j for each non-representative j: G(j) = multiplier_j * G(rep)."""
-    return {
-        rel.target: rel.multiplier
-        for rel in sys.generators()
-    }
-
-
 def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
     """Image of p under G(j) -> multiplier_j(s) * G(rep(j)) for non-reps j.
 
     A ring homomorphism, hence linear and multiplicative; idempotent because
-    representatives map to themselves.
+    representatives map to themselves.  Each power multiplier_j ** e is
+    computed once per call.
     """
     if p.arity != sys.arity:
         raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
-    multipliers = _rewrite_multipliers(sys)
-    if not multipliers:
+    rewrites = {rel.target: rel for rel in sys.generators()}
+    if not rewrites:
         return p
+    powers: Dict[Tuple[int, int], UniPoly] = {}
     accumulated: Dict[Monomial, UniPoly] = {}
     for mono, coeff in p.terms.items():
         image = list(mono)
         scaled = coeff
         for j, exponent in enumerate(mono):
-            if exponent == 0 or j not in multipliers:
+            rel = rewrites.get(j)
+            if exponent == 0 or rel is None:
                 continue
             image[j] = 0
-            image[sys.representative_of(j)] += exponent
-            scaled = scaled * multipliers[j] ** exponent
+            image[rel.source] += exponent
+            factor = powers.get((j, exponent))
+            if factor is None:
+                factor = powers[j, exponent] = rel.multiplier ** exponent
+            scaled = scaled * factor
         key = tuple(image)
         merged = accumulated.get(key)
         accumulated[key] = scaled if merged is None else merged + scaled

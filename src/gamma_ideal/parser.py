@@ -18,6 +18,11 @@ separate literal rule.  Everything the canonical printer emits round-trips
 through this grammar.
 
 Positions in errors are 0-based character offsets into the input.
+
+Sums and products are left-deep chains of binary nodes, one node per
+operator, and every pass over them (binding, lowering) walks those chains
+with loops, so a flat sum of any length parses.  Only parentheses nest, and
+nesting deeper than ``MAX_NESTING`` is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -25,8 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple, Union
 
-from .poly import GammaPoly, UniPoly
+from .poly import GammaPoly, UniPoly, signed_sum
 from .scalars import I, ONE, GaussianRational, to_scalar
+
+#: Deepest parenthesis nesting accepted; parsing and lowering recurse once
+#: per level.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -137,6 +146,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.index]
@@ -224,8 +234,14 @@ class _Parser:
                 return GammaRef(index, pos=ipos)
             raise ParseError(f"unknown name {value!r}", pos)
         if kind == "SYM" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", pos
+                )
             self.advance()
+            self.depth += 1
             node = self.parse_expr()
+            self.depth -= 1
             self.expect_sym(")")
             return self._postfix_i(node)
         raise ParseError(
@@ -234,11 +250,15 @@ class _Parser:
 
 
 def _walk(node: ExprAst) -> Iterator[ExprAst]:
-    yield node
-    for name in ("left", "right", "operand", "base"):
-        child = getattr(node, name, None)
-        if child is not None:
-            yield from _walk(child)
+    """Every node in pre-order, left operands first; iterative."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in ("base", "operand", "right", "left"):
+            child = getattr(node, name, None)
+            if child is not None:
+                stack.append(child)
 
 
 def parse_poly(text: str, arity: int) -> ExprAst:
@@ -261,30 +281,57 @@ def parse_poly(text: str, arity: int) -> ExprAst:
 
 def lower_to_poly(node: ExprAst, arity: int) -> GammaPoly:
     """Evaluate an AST into the polynomial ring."""
+    if isinstance(node, (Add, Sub)):
+        return _lower_sum(node, arity)
+    if isinstance(node, (Mul, Div)):
+        return _lower_product(node, arity)
     if isinstance(node, Lit):
         return GammaPoly.constant(arity, UniPoly.constant(node.value))
     if isinstance(node, SVar):
         return GammaPoly.s_var(arity)
     if isinstance(node, GammaRef):
         return GammaPoly.variable(arity, node.index)
-    if isinstance(node, Add):
-        return lower_to_poly(node.left, arity) + lower_to_poly(node.right, arity)
-    if isinstance(node, Sub):
-        return lower_to_poly(node.left, arity) - lower_to_poly(node.right, arity)
-    if isinstance(node, Mul):
-        return lower_to_poly(node.left, arity) * lower_to_poly(node.right, arity)
     if isinstance(node, Neg):
         return -lower_to_poly(node.operand, arity)
     if isinstance(node, Pow):
         return lower_to_poly(node.base, arity) ** node.exponent
-    if isinstance(node, Div):
-        numerator = lower_to_poly(node.left, arity)
-        divisor = lower_to_poly(node.right, arity)
-        scalar = _constant_value(divisor)
-        if scalar is None or scalar.is_zero():
-            raise ParseError("division is only defined by a nonzero constant", node.pos)
-        return numerator * UniPoly.constant(ONE / scalar)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _left_chain(node: ExprAst, kinds: tuple) -> Tuple[ExprAst, List[ExprAst]]:
+    """The leftmost operand of a left-deep chain of ``kinds`` nodes and the
+    chain's nodes, innermost first."""
+    chain = []
+    while isinstance(node, kinds):
+        chain.append(node)
+        node = node.left
+    chain.reverse()
+    return node, chain
+
+
+def _lower_sum(node: ExprAst, arity: int) -> GammaPoly:
+    """A chain of '+' and '-', summed into one term map."""
+    first, chain = _left_chain(node, (Add, Sub))
+    parts = [(1, lower_to_poly(first, arity))]
+    for op in chain:
+        parts.append((1 if isinstance(op, Add) else -1, lower_to_poly(op.right, arity)))
+    return signed_sum(arity, parts)
+
+
+def _lower_product(node: ExprAst, arity: int) -> GammaPoly:
+    """A chain of '*' and '/', multiplied from the left."""
+    first, chain = _left_chain(node, (Mul, Div))
+    product = lower_to_poly(first, arity)
+    for op in chain:
+        factor = lower_to_poly(op.right, arity)
+        if isinstance(op, Mul):
+            product = product * factor
+            continue
+        scalar = _constant_value(factor)
+        if scalar is None or scalar.is_zero():
+            raise ParseError("division is only defined by a nonzero constant", op.pos)
+        product = product * UniPoly.constant(ONE / scalar)
+    return product
 
 
 def _constant_value(p: GammaPoly) -> Union[GaussianRational, None]:

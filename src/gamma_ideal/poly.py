@@ -4,7 +4,12 @@ Two layers:
 
 * ``UniPoly`` -- dense univariate polynomials in the argument variable
   (printed as ``s``), used for the coefficients of the multivariate layer
-  and for the shift multipliers.
+  and for the shift multipliers.  A polynomial is stored as a tuple of
+  Gaussian integers ``(re, im)``, plain int pairs, over one positive common
+  denominator, kept primitive: the denominator and all the parts have no
+  common factor.  Arithmetic is then on Python ints alone; the exact
+  scalars of ``gamma_ideal.scalars`` appear only at the boundary (building
+  a polynomial from scalars, reading ``coeffs`` back, printing).
 
 * ``GammaPoly`` -- sparse multivariate polynomials in placeholders
   ``G(0), ..., G(n-1)`` standing for Gamma values at shifted arguments.
@@ -13,7 +18,8 @@ Two layers:
       P = sum over exponent vectors e of  coeff_e(s) * G(0)^e[0] * ... * G(n-1)^e[n-1]
 
   Zero coefficients are never stored, so structural equality of the maps is
-  polynomial equality.
+  polynomial equality.  Products and sums accumulate into plain dicts and
+  build the result once.
 
 Monomials are plain exponent tuples.  They are ordered lexicographically,
 scanning from index 0: the first differing exponent decides, larger wins.
@@ -24,10 +30,12 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
+from operator import add
 from types import MappingProxyType
-from typing import Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .scalars import (
     ONE,
@@ -35,8 +43,8 @@ from .scalars import (
     GaussianRational,
     ScalarLike,
     display_negative,
+    power_by_squaring,
     scalar_factor_text,
-    scalar_text,
     to_scalar,
 )
 
@@ -79,89 +87,161 @@ def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
 
 UniPolyLike = Union["UniPoly", GaussianRational, int]
 
+#: A Gaussian integer re + im*i.
+Pair = Tuple[int, int]
 
-@dataclass(frozen=True)
+
 class UniPoly:
-    """Univariate polynomial; ``coeffs[d]`` is the coefficient of the d-th power.
+    """Univariate polynomial over Q(i), stored as Gaussian integers over one
+    common denominator.
 
-    Trailing zeros are stripped on construction, so the zero polynomial is the
-    empty tuple and the leading coefficient of anything else is nonzero.
+    ``UniPoly(coeffs)`` takes scalars in ascending powers; ``coeffs`` gives
+    them back as ``GaussianRational`` values.  Inside, the d-th coefficient is
+    ``(re_d + im_d*i) / den`` with int parts.  Every instance is canonical:
+    trailing zeros are stripped (the zero polynomial has no pairs and
+    ``den`` 1), ``den`` is positive and shares no factor with all the parts
+    at once.  So equal polynomials have equal storage, and structural
+    equality and the hash are polynomial equality.
     """
 
-    coeffs: Tuple[GaussianRational, ...]
+    __slots__ = ("_num", "_den")
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(to_scalar(c) for c in self.coeffs)
-        while cleaned and cleaned[-1].is_zero():
-            cleaned = cleaned[:-1]
-        object.__setattr__(self, "coeffs", cleaned)
+    def __init__(self, coeffs: Sequence[ScalarLike] = ()):
+        ratios = []
+        den = 1
+        for c in coeffs:
+            c = to_scalar(c)
+            re, re_den = c.real.as_integer_ratio()
+            im, im_den = c.imag.as_integer_ratio()
+            if re_den != 1 or im_den != 1:
+                den = lcm(den, re_den, im_den)
+            ratios.append((re, re_den, im, im_den))
+        # Over the lcm of the denominators the parts have no common factor.
+        num = [(re * (den // re_den), im * (den // im_den)) for re, re_den, im, im_den in ratios]
+        while num and num[-1] == (0, 0):
+            num.pop()
+        self._num: Tuple[Pair, ...] = tuple(num)
+        self._den: int = den if num else 1
+
+    @classmethod
+    def _canonical(cls, num: Sequence[Pair], den: int) -> UniPoly:
+        """The instance for ``sum num[d] s^d / den`` with ``den`` positive:
+        strips trailing zeros and divides out the common factor."""
+        end = len(num)
+        while end and num[end - 1] == (0, 0):
+            end -= 1
+        if not end:
+            return cls._raw((), 1)
+        num = num[:end]
+        if den != 1:
+            g = den
+            for re, im in num:
+                g = gcd(g, re, im)
+                if g == 1:
+                    break
+            if g != 1:
+                num = [(re // g, im // g) for re, im in num]
+                den //= g
+        return cls._raw(tuple(num), den)
+
+    @classmethod
+    def _raw(cls, num: Tuple[Pair, ...], den: int) -> UniPoly:
+        """Wrap storage that is already canonical."""
+        p = object.__new__(cls)
+        p._num = num
+        p._den = den
+        return p
 
     # -- constructors
 
     @classmethod
     def zero(cls) -> UniPoly:
-        return cls(())
+        return cls._raw((), 1)
 
     @classmethod
     def one(cls) -> UniPoly:
-        return cls((ONE,))
+        return cls._raw(((1, 0),), 1)
 
     @classmethod
     def constant(cls, value: ScalarLike) -> UniPoly:
-        return cls((to_scalar(value),))
+        return cls((value,))
 
     @classmethod
     def x(cls) -> UniPoly:
-        return cls((ZERO, ONE))
+        return cls._raw(((0, 0), (1, 0)), 1)
 
     @classmethod
     def linear(cls, shift: ScalarLike) -> UniPoly:
         """The monic linear polynomial  s + shift."""
-        return cls((to_scalar(shift), ONE))
+        return cls((shift, ONE))
 
     # -- structure
 
     @property
+    def coeffs(self) -> Tuple[GaussianRational, ...]:
+        """The coefficients in ascending powers, as exact scalars."""
+        den = self._den
+        return tuple(_pair_scalar(pair, den) for pair in self._num)
+
+    @property
     def degree(self) -> Union[int, float]:
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
+        return len(self._num) - 1 if self._num else MINUS_INFINITY
 
     @property
     def leading_coefficient(self) -> GaussianRational:
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _pair_scalar(self._num[-1], self._den)
 
     def coefficient(self, power: int) -> GaussianRational:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._num):
+            return _pair_scalar(self._num[power], self._den)
         return ZERO
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((self._den, self._num))
+
+    def __repr__(self) -> str:
+        return f"UniPoly({self.coeffs!r})"
 
     # -- ring operations
 
     def __neg__(self) -> UniPoly:
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly._raw(tuple((-re, -im) for re, im in self._num), self._den)
+
+    def _combine(self, other: UniPoly, sign: int) -> UniPoly:
+        """self + sign*other over the least common denominator."""
+        g = gcd(self._den, other._den)
+        scale_self = other._den // g
+        scale_other = sign * (self._den // g)
+        summed = [
+            (ar * scale_self + br * scale_other, ai * scale_self + bi * scale_other)
+            for (ar, ai), (br, bi) in zip_longest(self._num, other._num, fillvalue=(0, 0))
+        ]
+        return UniPoly._canonical(summed, self._den * scale_self)
 
     def __add__(self, other: UniPolyLike) -> UniPoly:
         if not _unipoly_operand(other):
             return NotImplemented
-        other = _to_unipoly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
+        return self._combine(_to_unipoly(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: UniPolyLike) -> UniPoly:
         if not _unipoly_operand(other):
             return NotImplemented
-        return self + (-_to_unipoly(other))
+        return self._combine(_to_unipoly(other), -1)
 
     def __rsub__(self, other: UniPolyLike) -> UniPoly:
         return _to_unipoly(other) - self
@@ -170,27 +250,17 @@ class UniPoly:
         if not _unipoly_operand(other):
             return NotImplemented
         other = _to_unipoly(other)
-        if not self.coeffs or not other.coeffs:
+        if not self._num or not other._num:
             return UniPoly.zero()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(tuple(out))
+        size = len(self._num) + len(other._num) - 1
+        re, im = [0] * size, [0] * size
+        _convolve_into(re, im, self._num, other._num)
+        return UniPoly._canonical(list(zip(re, im)), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> UniPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = UniPoly.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power_by_squaring(self, exponent, UniPoly.one())
 
     def __divmod__(self, other: UniPoly) -> Tuple[UniPoly, UniPoly]:
         return euclid_divide(self, other)
@@ -208,10 +278,13 @@ class UniPoly:
         return acc
 
     def eval_complex(self, point: complex) -> complex:
+        # int / int is correctly rounded, so each coefficient converts to the
+        # same double as its reduced fraction would.
         acc = 0j
         point = complex(point)
-        for c in reversed(self.coeffs):
-            acc = acc * point + complex(c)
+        den = self._den
+        for re, im in reversed(self._num):
+            acc = acc * point + complex(re / den, im / den)
         return acc
 
     def compose_shift(self, offset: ScalarLike) -> UniPoly:
@@ -226,6 +299,33 @@ class UniPoly:
         return unipoly_text(self)
 
 
+def _pair_scalar(pair: Pair, den: int) -> GaussianRational:
+    re, im = pair
+    if den == 1:
+        return GaussianRational._of(Fraction(re), Fraction(im))
+    return GaussianRational._of(Fraction(re, den), Fraction(im, den))
+
+
+def _convolve_into(re: List[int], im: List[int], a: Sequence[Pair], b: Sequence[Pair]) -> None:
+    """Add the product of the Gaussian-integer sequences a and b into the
+    parts re and im, which must be at least len(a) + len(b) - 1 long."""
+    b_real = not any(bi for _, bi in b)
+    for i, (ar, ai) in enumerate(a):
+        if ai:
+            for k, (br, bi) in enumerate(b, i):
+                re[k] += ar * br - ai * bi
+                im[k] += ar * bi + ai * br
+        elif not ar:
+            continue
+        elif b_real:
+            for k, (br, _) in enumerate(b, i):
+                re[k] += ar * br
+        else:
+            for k, (br, bi) in enumerate(b, i):
+                re[k] += ar * br
+                im[k] += ar * bi
+
+
 def _unipoly_operand(value: object) -> bool:
     return isinstance(value, (UniPoly, GaussianRational, int, Fraction))
 
@@ -233,7 +333,7 @@ def _unipoly_operand(value: object) -> bool:
 def _to_unipoly(value: UniPolyLike) -> UniPoly:
     if isinstance(value, UniPoly):
         return value
-    return UniPoly.constant(to_scalar(value))
+    return UniPoly.constant(value)
 
 
 def euclid_divide(num: UniPoly, den: UniPoly) -> Tuple[UniPoly, UniPoly]:
@@ -248,7 +348,7 @@ def euclid_divide(num: UniPoly, den: UniPoly) -> Tuple[UniPoly, UniPoly]:
     while remainder and remainder.degree >= dd:
         shift = int(remainder.degree - dd)
         factor = remainder.leading_coefficient / lead
-        step = UniPoly(tuple([ZERO] * shift + [factor]))
+        step = UniPoly([ZERO] * shift + [factor])
         quotient = quotient + step
         remainder = remainder - step * den
     return quotient, remainder
@@ -289,6 +389,15 @@ class GammaPoly:
             canonical[mono] = poly
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", canonical)
+
+    @classmethod
+    def _build(cls, arity: int, terms: Dict[Monomial, UniPoly]) -> GammaPoly:
+        """Wrap a map the ring operations built: exponent tuples of the right
+        arity and nonzero coefficients, so nothing is checked again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "arity", arity)
+        object.__setattr__(p, "_terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaPoly is immutable")
@@ -374,64 +483,114 @@ class GammaPoly:
         return GammaPoly.constant(self.arity, other)
 
     def __neg__(self) -> GammaPoly:
-        return GammaPoly(self.arity, {m: -c for m, c in self._terms.items()})
+        return GammaPoly._build(self.arity, {m: -c for m, c in self._terms.items()})
 
     def __add__(self, other: GammaPolyLike) -> GammaPoly:
-        other = self._coerce(other)
-        merged = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            total = merged.get(mono, UniPoly.zero()) + coeff
-            if total:
-                merged[mono] = total
-            else:
-                merged.pop(mono, None)
-        return GammaPoly(self.arity, merged)
+        return signed_sum(self.arity, ((1, self), (1, self._coerce(other))))
 
     __radd__ = __add__
 
     def __sub__(self, other: GammaPolyLike) -> GammaPoly:
-        return self + (-self._coerce(other))
+        return signed_sum(self.arity, ((1, self), (-1, self._coerce(other))))
 
     def __rsub__(self, other: GammaPolyLike) -> GammaPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other: GammaPolyLike) -> GammaPoly:
         if not isinstance(other, GammaPoly):
-            return GammaPoly(
-                self.arity,
-                {m: c * _to_unipoly(other) for m, c in self._terms.items()},
+            factor = _to_unipoly(other)
+            if not factor:
+                return GammaPoly.zero(self.arity)
+            return GammaPoly._build(
+                self.arity, {m: c * factor for m, c in self._terms.items()}
             )
         self._check_arity(other)
-        out: dict[Monomial, UniPoly] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = monomial_mul(m1, m2)
-                total = out.get(mono, UniPoly.zero()) + c1 * c2
-                if total:
-                    out[mono] = total
-                else:
-                    out.pop(mono, None)
-        return GammaPoly(self.arity, out)
+        if len(self._terms) == 1 or len(other._terms) == 1:
+            # No two products share a monomial, so none needs accumulating.
+            return GammaPoly._build(
+                self.arity,
+                {
+                    tuple(map(add, m1, m2)): c1 * c2
+                    for m1, c1 in self._terms.items()
+                    for m2, c2 in other._terms.items()
+                },
+            )
+        # Both sides over one denominator each, so that every partial sum is a
+        # pair of int lists; each coefficient is made canonical once, at the end.
+        left, left_den = _common_denominator(self._terms)
+        right, right_den = _common_denominator(other._terms)
+        out: Dict[Monomial, Tuple[List[int], List[int]]] = {}
+        for m1, a in left:
+            for m2, b in right:
+                mono = tuple(map(add, m1, m2))
+                size = len(a) + len(b) - 1
+                parts = out.get(mono)
+                if parts is None:
+                    parts = out[mono] = ([0] * size, [0] * size)
+                elif len(parts[0]) < size:
+                    grow = [0] * (size - len(parts[0]))
+                    parts[0].extend(grow)
+                    parts[1].extend(grow)
+                re, im = parts
+                _convolve_into(re, im, a, b)
+                # Drop a cancelled monomial now, so that the term order is the
+                # one that accumulating term by term gives.
+                if not any(re) and not any(im):
+                    del out[mono]
+        den = left_den * right_den
+        return GammaPoly._build(
+            self.arity,
+            {m: UniPoly._canonical(list(zip(re, im)), den) for m, (re, im) in out.items()},
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> GammaPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = GammaPoly.constant(self.arity, ONE)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power_by_squaring(self, exponent, GammaPoly.constant(self.arity, ONE))
 
     def __str__(self) -> str:
         return gamma_poly_text(self)
 
     def __repr__(self) -> str:
         return f"GammaPoly({self.arity}, {gamma_poly_text(self)!r})"
+
+
+def signed_sum(arity: int, parts: Iterable[Tuple[int, GammaPoly]]) -> GammaPoly:
+    """The sum of sign * poly over ``(sign, poly)`` pairs, with sign 1 or -1,
+    accumulated into one term map.
+
+    A monomial that cancels leaves the map and one that comes back is
+    appended, so value and term order are those of adding the parts pairwise
+    from the left.
+    """
+    merged: Dict[Monomial, UniPoly] = {}
+    for sign, poly in parts:
+        if poly.arity != arity:
+            raise ValueError(f"arity mismatch: {arity} vs {poly.arity}")
+        for mono, coeff in poly._terms.items():
+            old = merged.get(mono)
+            if old is None:
+                merged[mono] = coeff if sign > 0 else -coeff
+                continue
+            total = old + coeff if sign > 0 else old - coeff
+            if total:
+                merged[mono] = total
+            else:
+                del merged[mono]
+    return GammaPoly._build(arity, merged)
+
+
+def _common_denominator(
+    terms: Mapping[Monomial, UniPoly]
+) -> Tuple[List[Tuple[Monomial, Tuple[Pair, ...]]], int]:
+    """The terms' numerators, all rescaled to the least common denominator."""
+    den = lcm(*(c._den for c in terms.values()))
+    return [
+        (m, c._num if c._den == den else tuple(
+            (re * (den // c._den), im * (den // c._den)) for re, im in c._num
+        ))
+        for m, c in terms.items()
+    ], den
 
 
 def highest_term(p: GammaPoly) -> Tuple[Monomial, UniPoly]:
@@ -454,8 +613,9 @@ def unipoly_text(p: UniPoly, var: str = "s") -> str:
     if not p:
         return "0"
     pieces: list[str] = []
-    for power in range(len(p.coeffs) - 1, -1, -1):
-        coeff = p.coeffs[power]
+    coeffs = p.coeffs
+    for power in range(len(coeffs) - 1, -1, -1):
+        coeff = coeffs[power]
         if coeff.is_zero():
             continue
         negative = display_negative(coeff)
@@ -476,9 +636,9 @@ def unipoly_text(p: UniPoly, var: str = "s") -> str:
 
 
 def _single_term(p: UniPoly) -> Union[Tuple[int, GaussianRational], None]:
-    nonzero = [(d, c) for d, c in enumerate(p.coeffs) if not c.is_zero()]
+    nonzero = [d for d, pair in enumerate(p._num) if pair != (0, 0)]
     if len(nonzero) == 1:
-        return nonzero[0]
+        return nonzero[0], p.coefficient(nonzero[0])
     return None
 
 

@@ -1,17 +1,20 @@
 """Exact Gaussian-rational scalars.
 
 The coefficient field of the whole package is Q(i): complex numbers with
-rational real and imaginary parts, stored as ``fractions.Fraction`` pairs.
-This keeps every arithmetic question decidable, in particular whether the
-difference of two shifts is an integer.  Floating-point complex numbers are
-accepted only by the numeric oracle, never by the symbolic core.
+rational real and imaginary parts.  This keeps every arithmetic question
+decidable, in particular whether the difference of two shifts is an integer.
+``GaussianRational`` stores one such number as a ``fractions.Fraction`` pair
+and is the type at the package's boundary: parsing, printing and shifts.
+Polynomial coefficients are stored more compactly (see ``poly``).
+Floating-point complex numbers are accepted only by the numeric oracle,
+never by the symbolic core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import TypeVar, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["GaussianRational", int, Fraction]
@@ -32,6 +35,14 @@ class GaussianRational:
         object.__setattr__(self, "real", Fraction(self.real))
         object.__setattr__(self, "imag", Fraction(self.imag))
 
+    @classmethod
+    def _of(cls, real: Fraction, imag: Fraction) -> GaussianRational:
+        """Wrap two ``Fraction`` values without coercing them again."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "real", real)
+        object.__setattr__(value, "imag", imag)
+        return value
+
     def is_zero(self) -> bool:
         return not self.real and not self.imag
 
@@ -48,7 +59,7 @@ class GaussianRational:
         return not self.is_zero()
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.real, -self.imag)
+        return GaussianRational._of(-self.real, -self.imag)
 
     def __add__(self, other: ScalarLike) -> GaussianRational:
         if not _scalar_operand(other):
@@ -91,16 +102,7 @@ class GaussianRational:
         return to_scalar(other) / self
 
     def __pow__(self, exponent: int) -> GaussianRational:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power_by_squaring(self, exponent, ONE)
 
     def __complex__(self) -> complex:
         return complex(float(self.real), float(self.imag))
@@ -110,6 +112,32 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.real!r}, {self.imag!r})"
+
+
+Ring = TypeVar("Ring")
+
+
+def power_by_squaring(base: Ring, exponent: int, one: Ring) -> Ring:
+    """``base ** exponent`` by repeated squaring, for any ring element.
+
+    Scans the exponent from its lowest bit and stops after the top bit, so it
+    makes floor(log2 e) squarings and popcount(e) - 1 other products.  The
+    result is multiplied by the squares from the lowest up; that order fixes
+    the term order of a sparse result, and with it the order in which the
+    numeric oracle sums its terms.  ``one`` is the result for a zero exponent.
+    """
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    if not exponent:
+        return one
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else result * base
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = base * base
 
 
 def _scalar_operand(value: object) -> bool:

@@ -16,6 +16,7 @@ only singleton classes admits no nontrivial relation at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .poly import GammaPoly, UniPoly
@@ -65,6 +66,8 @@ class ShiftSystem:
     ``classes`` lists index classes sorted by offset from the class
     representative (which therefore comes first); ``representatives`` is
     aligned with ``classes``.  Build instances with ``build_shift_system``.
+    The index-to-class map and the generators are computed once, on first
+    use.
     """
 
     shifts: Tuple[GaussianRational, ...]
@@ -80,11 +83,26 @@ class ShiftSystem:
         """True when every class is a singleton: no relation exists."""
         return all(len(cls) == 1 for cls in self.classes)
 
-    def class_index_of(self, index: int) -> int:
+    @cached_property
+    def _class_of(self) -> Tuple[int, ...]:
+        """Class position of every variable index."""
+        class_of = [0] * self.arity
         for c, cls in enumerate(self.classes):
-            if index in cls:
-                return c
-        raise ValueError(f"variable index {index} out of range")
+            for index in cls:
+                class_of[index] = c
+        return tuple(class_of)
+
+    @cached_property
+    def _generators(self) -> Tuple[Relation, ...]:
+        return tuple(
+            generating_relation(self, self.representative_of(j), j)
+            for j in self.non_representatives()
+        )
+
+    def class_index_of(self, index: int) -> int:
+        if not 0 <= index < self.arity:
+            raise ValueError(f"variable index {index} out of range")
+        return self._class_of[index]
 
     def representative_of(self, index: int) -> int:
         return self.representatives[self.class_index_of(index)]
@@ -106,10 +124,7 @@ class ShiftSystem:
 
     def generators(self) -> Tuple[Relation, ...]:
         """One generating relation per non-representative index, ascending."""
-        return tuple(
-            generating_relation(self, self.representative_of(j), j)
-            for j in self.non_representatives()
-        )
+        return self._generators
 
     def shifts_text(self) -> str:
         return ", ".join(str(a) for a in self.shifts)

@@ -78,6 +78,31 @@ def test_classes_json(capsys):
     assert len(payload["generators"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--samples", "0"],
+        ["--samples", "-3"],
+        ["--samples=-3"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--tol", "0"],
+        ["--tol=-1e-8"],
+    ],
+)
+def test_degenerate_verify_flags_exit_two(capsys, flags):
+    code, out, err = run(capsys, "member", "0,1,2", IDENTITY, "--verify", *flags)
+    assert code == 2
+    assert out == ""
+    assert flags[0].split("=")[0] in err
+
+
+def test_selftest_rejects_zero_samples(capsys):
+    code, out, _ = run(capsys, "selftest", "--samples", "0")
+    assert code == 2
+    assert out == ""
+
+
 # -- member output surfaces
 
 

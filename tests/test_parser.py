@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from gamma_ideal.parser import (
+    MAX_NESTING,
     Add,
     GammaRef,
     Lit,
@@ -179,6 +180,35 @@ def test_print_parse_round_trip(p):
 def test_lowering_matches_scalar_semantics(z):
     ast = parse_poly(str(z), 0)
     assert lower_to_poly(ast, 0) == GammaPoly.constant(0, z)
+
+
+def test_five_thousand_term_round_trip():
+    # The printer writes a normal form as one flat sum; parsing it back must
+    # not recurse once per term.
+    terms = {
+        (k % 10, k // 10 % 10, k // 100, 1): UniPoly.linear(k % 7 - 3) * (k % 5 + 1)
+        for k in range(5000)
+    }
+    p = GammaPoly(4, terms)
+    text = gamma_poly_text(p)
+    assert text.count("G(3)") == 5000
+    assert parse_gamma_poly(text, 4) == p
+
+
+def test_long_flat_product_lowers():
+    assert parse_gamma_poly("*".join(["G(0)"] * 3000), 1) == GammaPoly.variable(1, 0) ** 3000
+
+
+def test_nesting_up_to_the_limit_parses():
+    depth = MAX_NESTING
+    assert parse_gamma_poly("(" * depth + "s" + ")" * depth, 0) == GammaPoly.s_var(0)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
+def test_nesting_past_the_limit_is_a_parse_error(depth):
+    with pytest.raises(ParseError) as info:
+        parse_gamma_poly("(" * depth + "s" + ")" * depth, 0)
+    assert info.value.position == MAX_NESTING
 
 
 @pytest.mark.parametrize(
