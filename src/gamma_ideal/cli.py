@@ -112,16 +112,22 @@ def cmd_classes(config: CliConfig) -> int:
 def _member_payload(
     config: CliConfig, sys_: ShiftSystem, poly: GammaPoly, verdict: Verdict
 ) -> dict:
+    # The certificate renders the input and the normal form; reuse its text.
+    if config.certify:
+        certificate = verdict.certificate.as_payload()
+        poly_text, normal_text = certificate["input"], certificate["normal_form"]
+    else:
+        poly_text, normal_text = gamma_poly_text(poly), gamma_poly_text(verdict.normal_form)
     payload = {
         "command": "member",
         "shifts": [str(a) for a in sys_.shifts],
-        "polynomial": gamma_poly_text(poly),
+        "polynomial": poly_text,
         "member": verdict.is_member,
-        "normal_form": gamma_poly_text(verdict.normal_form),
+        "normal_form": normal_text,
         "theorem_basis": verdict.theorem_basis,
     }
     if config.certify:
-        payload["certificate"] = verdict.certificate.as_payload()
+        payload["certificate"] = certificate
     if config.verify:
         report = verify_verdict(
             verdict, sys_, n_samples=config.samples, seed=config.seed, tol=config.tol
@@ -144,8 +150,9 @@ def cmd_member(config: CliConfig) -> int:
         _emit_json(payload)
         return exit_code
 
+    normal_text = gamma_poly_text(verdict.normal_form)
     print(f"verdict: {'member' if verdict.is_member else 'non-member'}")
-    print(f"normal_form: {verdict.normal_form}")
+    print(f"normal_form: {normal_text}")
     print(f"basis: {verdict.theorem_basis}")
     if config.certify:
         cert = verdict.certificate
@@ -154,7 +161,7 @@ def cmd_member(config: CliConfig) -> int:
             print("  (no generators: the shift system admits no relation)")
         for relation, cofactor in zip(cert.generators, cert.cofactors):
             print(f"  generator {relation.as_poly}: cofactor {cofactor}")
-        print(f"  normal_form: {cert.normal_form}")
+        print(f"  normal_form: {normal_text}")
         print(f"  re-expands exactly: {'yes' if cert.is_exact() else 'NO'}")
     if config.verify:
         report = verify_verdict(

@@ -9,10 +9,14 @@ construction); a nonzero normal form lives on the class representatives,
 whose pairwise differences are non-integral, and no nonzero polynomial in
 those Gamma values vanishes identically.
 
-Two independent routes compute the same normal form: a one-pass
-substitution homomorphism (``normal_form``) and a term-by-term multivariate
-division that also accumulates the cofactor certificate (``certify``).
-``decide_membership`` runs both and insists they agree.
+Two routes compute the normal form, each in one pass over the input's
+terms: the substitution homomorphism (``normal_form``), and a telescoping
+rewrite that also yields the cofactor certificate (``certify``).  Its
+cofactors are those of multivariate division by the generators.
+``decide_membership`` runs both and insists that they agree, that the
+normal form holds no non-representative variable, and that the certificate
+re-expands exactly to the input; together these make the certificate a
+proof whatever route produced it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .poly import GammaPoly, Monomial, UniPoly, gamma_poly_text
 from .scalars import GaussianRational
@@ -94,12 +98,37 @@ class Verdict:
         return self.certificate.normal_form
 
     def as_payload(self) -> dict:
+        certificate = self.certificate.as_payload()
         return {
             "member": self.is_member,
-            "normal_form": gamma_poly_text(self.normal_form),
+            "normal_form": certificate["normal_form"],
             "theorem_basis": self.theorem_basis,
-            "certificate": self.certificate.as_payload(),
+            "certificate": certificate,
         }
+
+
+def _cached_power(
+    powers: Dict[Tuple[int, int], UniPoly], rel: Relation, exponent: int
+) -> UniPoly:
+    """multiplier ** exponent of ``rel``, computed once per ``powers`` cache."""
+    key = (rel.target, exponent)
+    factor = powers.get(key)
+    if factor is None:
+        factor = powers[key] = rel.multiplier ** exponent
+    return factor
+
+
+def _accumulate(terms: Dict[Monomial, UniPoly], mono: Monomial, coeff: UniPoly) -> None:
+    """Add ``coeff`` at ``mono``; a coefficient that cancels leaves the map."""
+    merged = terms.get(mono)
+    if merged is None:
+        terms[mono] = coeff
+        return
+    total = merged + coeff
+    if total:
+        terms[mono] = total
+    else:
+        del terms[mono]
 
 
 def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
@@ -125,71 +154,74 @@ def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
                 continue
             image[j] = 0
             image[rel.source] += exponent
-            factor = powers.get((j, exponent))
-            if factor is None:
-                factor = powers[j, exponent] = rel.multiplier ** exponent
-            scaled = scaled * factor
-        key = tuple(image)
-        merged = accumulated.get(key)
-        accumulated[key] = scaled if merged is None else merged + scaled
-    return GammaPoly(p.arity, accumulated)
+            scaled = scaled * _cached_power(powers, rel, exponent)
+        _accumulate(accumulated, tuple(image), scaled)
+    return GammaPoly._build(p.arity, accumulated)
 
 
 def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
-    """Multivariate division by the generating relations.
+    """Cofactors and normal form of p, by telescoping each term once.
 
-    Repeatedly take the highest remaining monomial containing a
-    non-representative variable and eliminate one such variable through its
-    generator.  "Highest" is judged in the class-sorted view of the
-    variables (non-representatives scanned before representatives), which
-    makes each generator's leading term its non-representative variable and
-    forces the selected monomial to decrease strictly at every step.
+    For a generator G(j) - m_j G(r) (r the representative of j, m_j its
+    rising-factorial multiplier) and any exponent e,
+
+        G(j)^e - (m_j G(r))^e
+            = (G(j) - m_j G(r)) * sum_{k<e} G(j)^(e-1-k) (m_j G(r))^k.
+
+    So a term c*M with G(j)^e in M moves to c*m_j^e * M G(r)^e / G(j)^e,
+    and cofactor j gains c*m_j^k * M G(r)^k / G(j)^(k+1) for k = 0..e-1.
+    Each term's non-representative variables are rewritten one after the
+    other, in ascending index order; what is left after the last one is the
+    term's share of the normal form.
+
+    These are the cofactors of the multivariate division by the generators
+    that always eliminates the lowest-indexed non-representative of the
+    highest reducible monomial: each division step depends only on the
+    monomial it reduces, so division is linear in the input, and on a single
+    term it makes exactly the steps above, in the same order.
     """
     if p.arity != sys.arity:
         raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
     generators = sys.generators()
-    slot_of = {rel.target: k for k, rel in enumerate(generators)}
-    scan_order = list(sys.non_representatives()) + [
-        i for i in range(sys.arity) if sys.is_representative(i)
-    ]
-
-    def view_key(mono: Monomial) -> Monomial:
-        return tuple(mono[i] for i in scan_order)
-
-    cofactors: List[GammaPoly] = [GammaPoly.zero(sys.arity) for _ in generators]
-    remainder = p
-    previous_key: Optional[Monomial] = None
-    while True:
-        reducible = [m for m in remainder.terms if any(m[j] for j in slot_of)]
-        if not reducible:
-            break
-        mono = max(reducible, key=view_key)
-        key = view_key(mono)
-        assert previous_key is None or key < previous_key, (
-            "division step failed to decrease the leading reducible monomial"
-        )
-        previous_key = key
-        j = next(i for i in scan_order if i in slot_of and mono[i])
-        coeff = remainder.terms[mono]
-        lowered = list(mono)
-        lowered[j] -= 1
-        partial = GammaPoly(sys.arity, {tuple(lowered): coeff})
-        slot = slot_of[j]
-        cofactors[slot] = cofactors[slot] + partial
-        remainder = remainder - partial * generators[slot].as_poly
+    if not generators:
+        return Certificate(input=p, generators=generators, cofactors=(), normal_form=p)
+    powers: Dict[Tuple[int, int], UniPoly] = {}
+    cofactors: List[Dict[Monomial, UniPoly]] = [{} for _ in generators]
+    reduced: Dict[Monomial, UniPoly] = {}
+    for mono, coeff in p.terms.items():
+        image = list(mono)
+        for rel, cofactor in zip(generators, cofactors):
+            j, r = rel.target, rel.source
+            exponent = image[j]
+            if exponent == 0:
+                continue
+            base = image[r]
+            for k in range(exponent):
+                image[j] = exponent - 1 - k
+                image[r] = base + k
+                share = coeff if k == 0 else coeff * _cached_power(powers, rel, k)
+                _accumulate(cofactor, tuple(image), share)
+            image[j] = 0
+            image[r] = base + exponent
+            coeff = coeff * _cached_power(powers, rel, exponent)
+        _accumulate(reduced, tuple(image), coeff)
     return Certificate(
         input=p,
         generators=generators,
-        cofactors=tuple(cofactors),
-        normal_form=remainder,
+        cofactors=tuple(GammaPoly._build(p.arity, terms) for terms in cofactors),
+        normal_form=GammaPoly._build(p.arity, reduced),
     )
 
 
 def decide_membership(p: GammaPoly, sys: ShiftSystem) -> Verdict:
     """Decide whether p vanishes identically at the shifted Gamma values."""
     certificate = certify(p, sys)
+    non_representatives = sys.non_representatives()
+    assert not any(
+        mono[j] for mono in certificate.normal_form.terms for j in non_representatives
+    ), "normal form still holds a non-representative variable"
     assert certificate.normal_form == normal_form(p, sys), (
-        "division and substitution normal forms disagree"
+        "certificate and substitution normal forms disagree"
     )
     assert certificate.is_exact(), "certificate failed to re-expand to the input"
     member = certificate.normal_form.is_zero()

@@ -109,6 +109,9 @@ ExprAst = Union[Lit, SVar, GammaRef, Add, Sub, Mul, Div, Neg, Pow]
 # lexer
 
 _SYMBOLS = set("+-*/^(),")
+#: Only ASCII digits: ``str.isdigit`` also accepts superscripts and other
+#: scripts' digits, which ``int`` then rejects or silently reads.
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -120,9 +123,9 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = k
-            while k < len(text) and text[k].isdigit():
+            while k < len(text) and text[k] in _DIGITS:
                 k += 1
             tokens.append(("INT", text[start:k], start))
             continue
@@ -380,8 +383,10 @@ def parse_complex(text: str) -> complex:
     compact = text.strip().replace(" ", "")
     if not compact:
         raise ParseError("empty complex literal", 0)
-    try:
-        return complex(compact.replace("i", "j"))
-    except ValueError:
-        pass
+    if compact.isascii():
+        # ``complex`` would also read other scripts' digits
+        try:
+            return complex(compact.replace("i", "j"))
+        except ValueError:
+            pass
     return complex(parse_scalar(text))

@@ -35,6 +35,22 @@ def test_parse_failure_exits_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reduce", "0", "s^\u00b2"], "unexpected character '\u00b2' (at position 2)"),
+        (["reduce", "0,1,2,3", "G(\u0663)"], "unexpected character '\u0663' (at position 2)"),
+        (["member", "0,1", "G(\u0661)-s*G(0)"], "unexpected character '\u0661' (at position 2)"),
+        (["gamma", "--eval", "\u0663"], "unexpected character '\u0663' (at position 0)"),
+    ],
+)
+def test_non_ascii_digits_are_positioned_parse_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bad_shift_list_exits_two(capsys):
     code, _, err = run(capsys, "classes", "0,0")
     assert code == 2

@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
+from typing import List, Optional
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gamma_ideal import ideal
 from gamma_ideal.ideal import (
+    Certificate,
     certify,
     decide_membership,
     normal_form,
@@ -15,8 +19,8 @@ from gamma_ideal.ideal import (
     random_shift_system,
 )
 from gamma_ideal.parser import parse_gamma_poly, parse_shifts
-from gamma_ideal.poly import GammaPoly, UniPoly, gamma_poly_text
-from gamma_ideal.shifts import build_shift_system, shift_apply
+from gamma_ideal.poly import GammaPoly, Monomial, UniPoly, gamma_poly_text
+from gamma_ideal.shifts import ShiftSystem, build_shift_system, shift_apply
 from strategies import system_with_polys
 
 HALF = Fraction(1, 2)
@@ -130,6 +134,166 @@ def test_certificate_payload_uses_canonical_text():
     assert payload["normal_form"] == "0"
     assert payload["input"] == gamma_poly_text(example_identity())
     assert len(payload["generators"]) == len(payload["cofactors"]) == 2
+
+
+def division_certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
+    """Multivariate division by the generating relations.
+
+    Repeatedly take the highest remaining monomial containing a
+    non-representative variable and eliminate one such variable through its
+    generator.  "Highest" is judged in the class-sorted view of the
+    variables (non-representatives scanned before representatives), which
+    makes each generator's leading term its non-representative variable and
+    forces the selected monomial to decrease strictly at every step.
+
+    Test-only reference: ``certify``'s telescoping rewrite must reproduce
+    its cofactors and normal form exactly.
+    """
+    if p.arity != sys.arity:
+        raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
+    generators = sys.generators()
+    slot_of = {rel.target: k for k, rel in enumerate(generators)}
+    scan_order = list(sys.non_representatives()) + [
+        i for i in range(sys.arity) if sys.is_representative(i)
+    ]
+
+    def view_key(mono: Monomial) -> Monomial:
+        return tuple(mono[i] for i in scan_order)
+
+    cofactors: List[GammaPoly] = [GammaPoly.zero(sys.arity) for _ in generators]
+    remainder = p
+    previous_key: Optional[Monomial] = None
+    while True:
+        reducible = [m for m in remainder.terms if any(m[j] for j in slot_of)]
+        if not reducible:
+            break
+        mono = max(reducible, key=view_key)
+        key = view_key(mono)
+        assert previous_key is None or key < previous_key, (
+            "division step failed to decrease the leading reducible monomial"
+        )
+        previous_key = key
+        j = next(i for i in scan_order if i in slot_of and mono[i])
+        coeff = remainder.terms[mono]
+        lowered = list(mono)
+        lowered[j] -= 1
+        partial = GammaPoly(sys.arity, {tuple(lowered): coeff})
+        slot = slot_of[j]
+        cofactors[slot] = cofactors[slot] + partial
+        remainder = remainder - partial * generators[slot].as_poly
+    return Certificate(
+        input=p,
+        generators=generators,
+        cofactors=tuple(cofactors),
+        normal_form=remainder,
+    )
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+# Two classes of two and three members: every monomial of degree >= 2 can
+# mix non-representatives of both.
+TWO_CLASSES = build_shift_system(parse_shifts("0, 1, 1/2, 3/2, 2"))
+
+
+def random_input(sys: ShiftSystem, rng: random.Random) -> GammaPoly:
+    """A member, a member plus noise or noise alone, with high-degree terms
+    that mix the classes."""
+    noise = random_poly(sys.arity, rng, max_terms=4, max_monomial_degree=5)
+    if not sys.generators():
+        return noise
+    member = random_member(sys, rng, max_cofactor_degree=3)
+    return rng.choice((member, member + noise, noise))
+
+
+def assert_same_certificate(cert: Certificate, reference: Certificate) -> None:
+    assert cert.generators == reference.generators
+    assert cert.cofactors == reference.cofactors
+    assert cert.normal_form == reference.normal_form
+    assert cert.as_payload() == reference.as_payload()
+
+
+@given(seeds)
+@settings(deadline=None)
+def test_telescoping_matches_division_on_random_systems(seed):
+    rng = random.Random(seed)
+    sys = random_shift_system(rng, max_arity=6)
+    p = random_input(sys, rng)
+    assert_same_certificate(certify(p, sys), division_certify(p, sys))
+
+
+@given(seeds)
+@settings(deadline=None)
+def test_telescoping_matches_division_on_mixed_class_monomials(seed):
+    p = random_input(TWO_CLASSES, random.Random(seed))
+    assert_same_certificate(certify(p, TWO_CLASSES), division_certify(p, TWO_CLASSES))
+
+
+@given(seeds)
+@settings(deadline=None)
+def test_certify_is_linear_cofactor_wise(seed):
+    rng = random.Random(seed)
+    sys = rng.choice((TWO_CLASSES, random_shift_system(rng, max_arity=6)))
+    p, q = random_input(sys, rng), random_input(sys, rng)
+    whole, left, right = certify(p + q, sys), certify(p, sys), certify(q, sys)
+    assert whole.cofactors == tuple(
+        a + b for a, b in zip(left.cofactors, right.cofactors)
+    )
+    assert whole.normal_form == left.normal_form + right.normal_form
+
+
+def test_two_class_certificate_by_hand():
+    # G(1) - s*G(0) and G(3) - (s+1/2)*G(2): G(1)^2 goes first, through
+    # G(1)^2 - (s G(0))^2 = (G(1) - s G(0)) * (G(1) + s G(0)), then G(3).
+    sys = build_shift_system(parse_shifts("0, 1, 1/2, 3/2"))
+    p = parse_gamma_poly("G(1)^2*G(3)", 4)
+    cert = certify(p, sys)
+    assert [gamma_poly_text(r.as_poly) for r in cert.generators] == [
+        "-s*G(0)+G(1)",
+        "-(s+1/2)*G(2)+G(3)",
+    ]
+    assert cert.cofactors == (
+        parse_gamma_poly("G(1)*G(3)+s*G(0)*G(3)", 4),
+        parse_gamma_poly("s^2*G(0)^2", 4),
+    )
+    assert cert.normal_form == parse_gamma_poly("(s^3+(1/2)*s^2)*G(0)^2*G(2)", 4)
+    assert cert.is_exact()
+    assert_same_certificate(cert, division_certify(p, sys))
+
+
+def test_certify_without_generators_returns_the_input():
+    sys = build_shift_system([0, HALF])
+    p = parse_gamma_poly("G(0)*G(1)-s", 2)
+    cert = certify(p, sys)
+    assert cert.cofactors == ()
+    assert cert.normal_form is p
+
+
+def leak_non_representatives(p: GammaPoly, sys: ShiftSystem) -> Certificate:
+    """A broken certify: no rewriting at all, so the 'normal form' is the
+    input itself; it still re-expands exactly."""
+    zero = GammaPoly.zero(sys.arity)
+    return Certificate(
+        input=p,
+        generators=sys.generators(),
+        cofactors=tuple(zero for _ in sys.generators()),
+        normal_form=p,
+    )
+
+
+def test_guard_catches_a_normal_form_with_non_representatives(monkeypatch):
+    monkeypatch.setattr(ideal, "certify", leak_non_representatives)
+    with pytest.raises(AssertionError, match="non-representative"):
+        decide_membership(parse_gamma_poly("G(1)-G(0)", 2), build_shift_system([0, 1]))
+
+
+def test_guard_fires_even_when_both_routes_leak_alike(monkeypatch):
+    # Both routes agree and the certificate re-expands exactly, so only the
+    # non-representative check is left to refuse the verdict.
+    monkeypatch.setattr(ideal, "certify", leak_non_representatives)
+    monkeypatch.setattr(ideal, "normal_form", lambda p, sys: p)
+    with pytest.raises(AssertionError, match="non-representative"):
+        decide_membership(parse_gamma_poly("G(2)", 3), chain_system())
 
 
 # -- verdicts

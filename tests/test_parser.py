@@ -168,6 +168,24 @@ def test_parse_complex_rejects_junk():
         parse_complex("one half")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("s^\u00b2", 2), ("G(\u0663)", 2), ("1\u0663", 1), ("\uff12*s", 0), ("G(0)^1\u00b9", 6)],
+)
+def test_only_ascii_digits_are_digits(text, position):
+    # superscript two, Arabic-Indic three, fullwidth two: str.isdigit takes
+    # all of them, and int() reads some as their values
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 4)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text", ["\u0663", "2.5+\u0661i", "\u00b2"])
+def test_parse_complex_takes_only_ascii_digits(text):
+    with pytest.raises(ParseError):
+        parse_complex(text)
+
+
 # -- round trips
 
 
