@@ -291,12 +291,25 @@ def cmd_selftest(config: CliConfig) -> int:
     return 0 if ok else 1
 
 
-def _sample_count(text: str) -> int:
-    """``--samples``: an int of at least 1; no samples would check nothing."""
+def _ascii_int(text: str) -> int:
+    """``int(text)`` for ASCII text only: ``int`` alone also reads other
+    scripts' digits, which expressions reject."""
+    if not text.isascii():
+        raise ValueError(f"non-ASCII integer: {text!r}")
+    return int(text)
+
+
+def _int_option(text: str) -> int:
+    """An int option value (``--seed``, ``--samples``) in ASCII digits."""
     try:
-        value = int(text)
+        return _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _sample_count(text: str) -> int:
+    """``--samples``: an int of at least 1; no samples would check nothing."""
+    value = _int_option(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -327,7 +340,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if sampled:
             p.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_int_option, default=None)
             p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p_classes = sub.add_parser("classes", help="integer-difference class report")
@@ -352,7 +365,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p_selftest = sub.add_parser("selftest", help="worked examples + numeric checks")
     p_selftest.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
-    p_selftest.add_argument("--seed", type=int, default=None)
+    p_selftest.add_argument("--seed", type=_int_option, default=None)
     p_selftest.add_argument("--json", action="store_true")
     return parser
 
@@ -364,7 +377,7 @@ def _resolve_seed(explicit: Optional[int]) -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        return _ascii_int(raw)
     except ValueError:
         raise ParseError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}", 0)
 

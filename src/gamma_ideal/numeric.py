@@ -7,6 +7,12 @@ a sample divided by the sum of the absolute values of its evaluated terms.
 Members must stay below tolerance at every sample; a non-member only has to
 exceed the separation threshold somewhere, since isolated near-zeros of a
 nonzero function are expected.
+
+A polynomial is turned into one float table per call: per term, its
+coefficients as complex doubles and its Gamma factors.  Each sample then
+evaluates Gamma once per shift and each Gamma power once, and runs the same
+operations in the same order as evaluating term by term from the exact
+coefficients, so the residuals and scales are the same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ideal import Verdict
 from .poly import GammaPoly
@@ -128,6 +135,53 @@ def draw_samples(
     return samples
 
 
+#: A polynomial as the oracle evaluates it: per term, the coefficients as
+#: complex doubles (highest power first) and the nonzero (index, exponent)
+#: Gamma factors, in term order.
+FloatTable = List[Tuple[Tuple[complex, ...], Tuple[Tuple[int, int], ...]]]
+
+
+def _float_table(p: GammaPoly) -> FloatTable:
+    return [
+        (coeff.complex_coeffs(), tuple(compress(enumerate(mono), mono)))
+        for mono, coeff in p.terms.items()
+    ]
+
+
+def _shift_gammas(
+    p: GammaPoly, sys: ShiftSystem, shifts: Iterable[complex], s: complex
+) -> List[complex]:
+    """Gamma(s + a) for every shift a, once the arities are checked."""
+    if p.arity != sys.arity:
+        raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
+    return [gamma_eval(s + a) for a in shifts]
+
+
+def _evaluate_table(
+    table: FloatTable, gammas: Sequence[complex], s: complex
+) -> Tuple[complex, float]:
+    """Value and cancellation scale of a float table at one point, given the
+    Gamma value of every shift there.  Each Gamma power is computed on first
+    use, so an overflow is raised at the term where evaluating term by term
+    raises it."""
+    powers: Dict[Tuple[int, int], complex] = {}
+    value = 0j
+    scale = 0.0
+    for coeffs, factors in table:
+        term = 0j
+        for c in coeffs:
+            term = term * s + c
+        for factor in factors:
+            power = powers.get(factor)
+            if power is None:
+                k, e = factor
+                power = powers[factor] = gammas[k] ** e
+            term *= power
+        value += term
+        scale += abs(term)
+    return value, scale
+
+
 def evaluate_poly(
     p: GammaPoly, sys: ShiftSystem, s: complex
 ) -> Tuple[complex, float]:
@@ -136,20 +190,16 @@ def evaluate_poly(
     The scale is the sum of the absolute values of the individually
     evaluated terms; an identity cancels against it, so value/scale is the
     meaningful relative residual.
+
+    The polynomial is turned into one float table (``UniPoly.complex_coeffs``
+    per term) and evaluated by the kernel ``verify_verdict`` runs per sample:
+    Gamma once per shift, each ``Gamma ** e`` once, then per term a Horner
+    pass from ``0j`` and the Gamma factors in index order, summed in term
+    order.  Every operation and its order is fixed, so both give the same
+    bits.
     """
-    if p.arity != sys.arity:
-        raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
-    gammas = [gamma_eval(s + complex(a)) for a in sys.shifts]
-    value = 0j
-    scale = 0.0
-    for mono, coeff in p.terms.items():
-        term = coeff(complex(s))
-        for g, exponent in zip(gammas, mono):
-            if exponent:
-                term *= g**exponent
-        value += term
-        scale += abs(term)
-    return value, scale
+    gammas = _shift_gammas(p, sys, map(complex, sys.shifts), s)
+    return _evaluate_table(_float_table(p), gammas, complex(s))
 
 
 @dataclass(frozen=True)
@@ -217,9 +267,16 @@ def verify_verdict(
         separation = tol
     p = verdict.certificate.input
     points = draw_samples(sys, n_samples, seed, epsilon_pole)
+    shifts = [complex(a) for a in sys.shifts]
+    table = None
     rows: List[SampleResidual] = []
     for sample in points:
-        value, scale = evaluate_poly(p, sys, sample.point)
+        gammas = _shift_gammas(p, sys, shifts, sample.point)
+        if table is None:
+            # Built after the first Gamma values, so errors come in the
+            # order that evaluating sample by sample raises them.
+            table = _float_table(p)
+        value, scale = _evaluate_table(table, gammas, sample.point)
         rows.append(SampleResidual(sample.point, abs(value), scale))
     max_relative = max((row.relative for row in rows), default=0.0)
     if verdict.is_member:

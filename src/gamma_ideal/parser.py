@@ -42,6 +42,7 @@ class ParseError(ValueError):
     """Syntax or binding error, carrying the offending input position."""
 
     def __init__(self, message: str, position: int):
+        self.message = message
         self.position = position
         super().__init__(f"{message} (at position {position})")
 
@@ -365,15 +366,21 @@ def parse_scalar(text: str) -> GaussianRational:
 
 
 def parse_shifts(text: str) -> Tuple[GaussianRational, ...]:
-    """Parse a comma-separated shift list like ``0, 1/2, (1+i)/2``."""
+    """Parse a comma-separated shift list like ``0, 1/2, (1+i)/2``.
+
+    Error positions count from the start of the whole list."""
     if not text.strip():
         raise ParseError("empty shift list", 0)
-    parts = text.split(",")
     shifts = []
-    for part in parts:
+    offset = 0  # where the current entry starts in ``text``
+    for part in text.split(","):
         if not part.strip():
-            raise ParseError("empty shift entry", 0)
-        shifts.append(parse_scalar(part))
+            raise ParseError("empty shift entry", offset)
+        try:
+            shifts.append(parse_scalar(part))
+        except ParseError as exc:
+            raise ParseError(exc.message, offset + exc.position) from None
+        offset += len(part) + 1
     return tuple(shifts)
 
 

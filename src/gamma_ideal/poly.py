@@ -7,9 +7,10 @@ Two layers:
   and for the shift multipliers.  A polynomial is stored as a tuple of
   Gaussian integers ``(re, im)``, plain int pairs, over one positive common
   denominator, kept primitive: the denominator and all the parts have no
-  common factor.  Arithmetic is then on Python ints alone; the exact
-  scalars of ``gamma_ideal.scalars`` appear only at the boundary (building
-  a polynomial from scalars, reading ``coeffs`` back, printing).
+  common factor.  Arithmetic, printing and the complex doubles of the
+  numeric oracle (``complex_coeffs``) work on these ints directly; the
+  exact scalars of ``gamma_ideal.scalars`` appear only at the boundary
+  (building a polynomial from scalars, reading ``coeffs`` back).
 
 * ``GammaPoly`` -- sparse multivariate polynomials in placeholders
   ``G(0), ..., G(n-1)`` standing for Gamma values at shifted arguments.
@@ -42,9 +43,8 @@ from .scalars import (
     ZERO,
     GaussianRational,
     ScalarLike,
-    display_negative,
+    pair_factor_text,
     power_by_squaring,
-    scalar_factor_text,
     to_scalar,
 )
 
@@ -278,14 +278,19 @@ class UniPoly:
         return acc
 
     def eval_complex(self, point: complex) -> complex:
-        # int / int is correctly rounded, so each coefficient converts to the
-        # same double as its reduced fraction would.
         acc = 0j
         point = complex(point)
-        den = self._den
-        for re, im in reversed(self._num):
-            acc = acc * point + complex(re / den, im / den)
+        for c in self.complex_coeffs():
+            acc = acc * point + c
         return acc
+
+    def complex_coeffs(self) -> Tuple[complex, ...]:
+        """The coefficients as complex doubles, highest power first: the
+        Horner order of ``eval_complex`` and of the numeric oracle."""
+        # int / int is correctly rounded, so each coefficient converts to the
+        # same double as its reduced fraction would.
+        den = self._den
+        return tuple([complex(re / den, im / den) for re, im in reversed(self._num)])
 
     def compose_shift(self, offset: ScalarLike) -> UniPoly:
         """The polynomial evaluated at (s + offset)."""
@@ -606,40 +611,56 @@ def height(p: GammaPoly) -> int:
 #
 # The grammar is the CLI's expression grammar, so any printed polynomial
 # parses back to an equal value.  Terms appear highest monomial first;
-# a leading '-' is hoisted out of each rendered term.
+# a leading '-' is hoisted out of each rendered term.  Coefficients are
+# rendered straight from the stored int pairs (``scalars.pair_text``), with
+# no scalar object built per coefficient.
+
+
+def _hoists_minus(re: int, im: int) -> bool:
+    """Sign used when hoisting '-' out of a printed term: a nonzero real part
+    decides, a purely imaginary value takes the sign of its imaginary part."""
+    return re < 0 if re else im < 0
+
+
+def _power_term(
+    re: int, im: int, den: int, power: int, var: str, tail: Sequence[str] = ()
+) -> Tuple[bool, str]:
+    """Render ``(re + im*i)/den * var^power * tail`` as (hoisted-negative,
+    factor text).  A unit magnitude is left out unless nothing else would
+    be printed."""
+    negative = _hoists_minus(re, im)
+    if negative:
+        re, im = -re, -im
+    factors = []
+    if re != den or im or (power == 0 and not tail):
+        factors.append(pair_factor_text(re, im, den))
+    if power == 1:
+        factors.append(var)
+    elif power > 1:
+        factors.append(f"{var}^{power}")
+    factors.extend(tail)
+    return negative, "*".join(factors)
+
+
+def _unipoly_terms(p: UniPoly, var: str) -> Iterable[Tuple[bool, str]]:
+    """The nonzero terms of ``p``, highest power first."""
+    den = p._den
+    for power in range(len(p._num) - 1, -1, -1):
+        re, im = p._num[power]
+        if re or im:
+            yield _power_term(re, im, den, power, var)
+
+
+def _joined(terms: Iterable[Tuple[bool, str]]) -> str:
+    """The sum of rendered terms; "0" for none."""
+    pieces: list[str] = []
+    for negative, text in terms:
+        pieces.append(f"-{text}" if negative else f"+{text}" if pieces else text)
+    return "".join(pieces) or "0"
 
 
 def unipoly_text(p: UniPoly, var: str = "s") -> str:
-    if not p:
-        return "0"
-    pieces: list[str] = []
-    coeffs = p.coeffs
-    for power in range(len(coeffs) - 1, -1, -1):
-        coeff = coeffs[power]
-        if coeff.is_zero():
-            continue
-        negative = display_negative(coeff)
-        magnitude = -coeff if negative else coeff
-        factors: list[str] = []
-        if power == 0 or not magnitude.is_one():
-            factors.append(scalar_factor_text(magnitude))
-        if power == 1:
-            factors.append(var)
-        elif power > 1:
-            factors.append(f"{var}^{power}")
-        text = "*".join(factors)
-        if not pieces:
-            pieces.append(f"-{text}" if negative else text)
-        else:
-            pieces.append(f"-{text}" if negative else f"+{text}")
-    return "".join(pieces)
-
-
-def _single_term(p: UniPoly) -> Union[Tuple[int, GaussianRational], None]:
-    nonzero = [d for d, pair in enumerate(p._num) if pair != (0, 0)]
-    if len(nonzero) == 1:
-        return nonzero[0], p.coefficient(nonzero[0])
-    return None
+    return _joined(_unipoly_terms(p, var))
 
 
 def _term_text(mono: Monomial, coeff: UniPoly) -> Tuple[bool, str]:
@@ -649,37 +670,16 @@ def _term_text(mono: Monomial, coeff: UniPoly) -> Tuple[bool, str]:
         for k, e in enumerate(mono)
         if e
     ]
-    single = _single_term(coeff)
-    if single is None:
-        lead = coeff.leading_coefficient
-        negative = display_negative(lead)
-        body = unipoly_text(-coeff if negative else coeff)
-        factors = [f"({body})"] + gamma_factors
-        return negative, "*".join(factors)
-    power, scalar = single
-    negative = display_negative(scalar)
-    magnitude = -scalar if negative else scalar
-    factors = []
-    if not magnitude.is_one():
-        factors.append(scalar_factor_text(magnitude))
-    if power == 1:
-        factors.append("s")
-    elif power > 1:
-        factors.append(f"s^{power}")
-    factors.extend(gamma_factors)
-    if not factors:
-        factors.append("1")
-    return negative, "*".join(factors)
+    num = coeff._num
+    re, im = num[-1]
+    if any(r or i for r, i in num[:-1]):
+        # A sum of powers of s: parenthesized, with the sign of its leading
+        # coefficient hoisted.
+        negative = _hoists_minus(re, im)
+        body = _joined((sign != negative, text) for sign, text in _unipoly_terms(coeff, "s"))
+        return negative, "*".join([f"({body})"] + gamma_factors)
+    return _power_term(re, im, coeff._den, len(num) - 1, "s", gamma_factors)
 
 
 def gamma_poly_text(p: GammaPoly) -> str:
-    if not p:
-        return "0"
-    pieces: list[str] = []
-    for mono, coeff in p.sorted_terms():
-        negative, text = _term_text(mono, coeff)
-        if not pieces:
-            pieces.append(f"-{text}" if negative else text)
-        else:
-            pieces.append(f"-{text}" if negative else f"+{text}")
-    return "".join(pieces)
+    return _joined(_term_text(mono, coeff) for mono, coeff in p.sorted_terms())

@@ -4,8 +4,10 @@ The coefficient field of the whole package is Q(i): complex numbers with
 rational real and imaginary parts.  This keeps every arithmetic question
 decidable, in particular whether the difference of two shifts is an integer.
 ``GaussianRational`` stores one such number as a ``fractions.Fraction`` pair
-and is the type at the package's boundary: parsing, printing and shifts.
-Polynomial coefficients are stored more compactly (see ``poly``).
+and is the type at the package's boundary: parsing and shifts.  Polynomial
+coefficients are stored more compactly (see ``poly``), as Gaussian integers
+over a common denominator, and ``pair_text`` renders that form; it is the
+one scalar renderer, which ``scalar_text`` also calls.
 Floating-point complex numbers are accepted only by the numeric oracle,
 never by the symbolic core.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import TypeVar, Union
 
 RationalLike = Union[int, Fraction]
@@ -158,44 +161,58 @@ ONE = GaussianRational(Fraction(1))
 I = GaussianRational(Fraction(0), Fraction(1))
 
 
-def display_negative(value: GaussianRational) -> bool:
-    """Sign used when hoisting '-' out of a printed term: negative real part
-    wins, a purely imaginary value takes the sign of its imaginary part."""
-    if value.real:
-        return value.real < 0
-    return value.imag < 0
+def _ratio_text(num: int, den: int) -> str:
+    """``num/den`` in lowest terms; ``den`` is positive."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _fraction_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def pair_text(re: int, im: int, den: int) -> str:
+    """Canonical decimal-free rendering of ``(re + im*i) / den`` with ``den``
+    positive: "p/q", "(p/q)i", or a sum of both, each part in lowest terms."""
+    if not im:
+        return _ratio_text(re, den)
+    g = gcd(im, den)
+    magnitude, im_den = abs(im) // g, den // g
+    if im_den != 1:
+        imag = f"({magnitude}/{im_den})i"
+    elif magnitude == 1:
+        imag = "i"
+    else:
+        imag = f"{magnitude}i"
+    if not re:
+        return imag if im > 0 else f"-{imag}"
+    joiner = "+" if im > 0 else "-"
+    return f"{_ratio_text(re, den)}{joiner}{imag}"
 
 
-def _imag_magnitude_text(magnitude: Fraction) -> str:
-    if magnitude == 1:
-        return "i"
-    if magnitude.denominator == 1:
-        return f"{magnitude.numerator}i"
-    return f"({_fraction_text(magnitude)})i"
+def pair_factor_text(re: int, im: int, den: int) -> str:
+    """``pair_text`` safe to splice into a product: mixed values get
+    parentheses."""
+    if re and im:
+        return f"({pair_text(re, im, den)})"
+    return pair_text(re, im, den)
+
+
+def _common_pair(value: GaussianRational) -> tuple[int, int, int]:
+    """``value`` as ``(re, im, den)`` ints over one positive denominator."""
+    re, im = value.real, value.imag
+    den = lcm(re.denominator, im.denominator)
+    return (
+        re.numerator * (den // re.denominator),
+        im.numerator * (den // im.denominator),
+        den,
+    )
 
 
 def scalar_text(value: GaussianRational) -> str:
     """Canonical decimal-free rendering: "p/q", "(p/q)i", or a sum of both."""
-    re, im = value.real, value.imag
-    if not re and not im:
-        return "0"
-    if not im:
-        return _fraction_text(re)
-    imag = _imag_magnitude_text(abs(im))
-    if not re:
-        return imag if im > 0 else f"-{imag}"
-    joiner = "+" if im > 0 else "-"
-    return f"{_fraction_text(re)}{joiner}{imag}"
+    return pair_text(*_common_pair(value))
 
 
 def scalar_factor_text(value: GaussianRational) -> str:
     """Rendering safe to splice into a product: mixed values get parentheses."""
-    if value.real and value.imag:
-        return f"({scalar_text(value)})"
-    return scalar_text(value)
+    return pair_factor_text(*_common_pair(value))

@@ -113,6 +113,25 @@ def test_degenerate_verify_flags_exit_two(capsys, flags):
     assert flags[0].split("=")[0] in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("member", "--samples", "\u0663"),
+        ("member", "--seed", "\u0667"),
+        ("member", "--samples", "\uff13"),
+        ("selftest", "--samples", "\u0663"),
+        ("selftest", "--seed", "\u0667"),
+    ],
+)
+def test_non_ascii_integer_flags_exit_two(capsys, command, flag, value):
+    # int() reads Arabic-Indic and fullwidth digits as their values
+    operands = ["0,1", "G(1)-s*G(0)", "--verify"] if command == "member" else []
+    code, out, err = run(capsys, command, *operands, flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: invalid int value: {value!r}" in err
+
+
 def test_selftest_rejects_zero_samples(capsys):
     code, out, _ = run(capsys, "selftest", "--samples", "0")
     assert code == 2
@@ -252,6 +271,29 @@ def test_invalid_seed_env_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("GAMMA_IDEAL_SEED", "not-a-number")
     code, _, _ = run(capsys, "member", "0,1,2", IDENTITY)
     assert code == 2
+
+
+def test_non_ascii_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("GAMMA_IDEAL_SEED", "\u0667")
+    code, out, err = run(capsys, "member", "0,1", "G(1)-s*G(0)", "--verify")
+    assert code == 2
+    assert out == ""
+    assert err == "error: GAMMA_IDEAL_SEED must be an integer, got '\u0667' (at position 0)\n"
+
+
+@pytest.mark.parametrize(
+    "shifts, message",
+    [
+        ("0,\u0663", "unexpected character '\u0663' (at position 2)"),
+        ("0, 1/", "expected a value, found 'end of input' (at position 5)"),
+        ("0,1,,2", "empty shift entry (at position 4)"),
+    ],
+)
+def test_shift_list_errors_count_from_the_list_start(capsys, shifts, message):
+    code, out, err = run(capsys, "member", shifts, "G(1)")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_config_defaults():

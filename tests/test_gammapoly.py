@@ -6,8 +6,11 @@ the largest.  The worked identity G(0)G(2) - G(1)^2 - G(0)G(1) threads
 through as a golden value.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gamma_ideal.poly import (
     GammaPoly,
@@ -18,7 +21,9 @@ from gamma_ideal.poly import (
     lex_compare,
     monomial_degree,
     monomial_mul,
+    unipoly_text,
 )
+from gamma_ideal.scalars import GaussianRational, scalar_text
 from strategies import gamma_polys, monomials, nonzero_gamma_polys, unipolys
 
 
@@ -215,3 +220,148 @@ def test_terms_are_printed_highest_first():
     p = example_identity()
     rendered = gamma_poly_text(p)
     assert rendered.startswith("-G(0)*G(1)")
+
+
+# -- text against the Fraction-based reference
+#
+# The renderer as it was when every coefficient went through a
+# ``GaussianRational``: the reference the int-pair renderer must match byte
+# for byte.
+
+
+def ref_display_negative(value):
+    if value.real:
+        return value.real < 0
+    return value.imag < 0
+
+
+def ref_fraction_text(value):
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def ref_imag_magnitude_text(magnitude):
+    if magnitude == 1:
+        return "i"
+    if magnitude.denominator == 1:
+        return f"{magnitude.numerator}i"
+    return f"({ref_fraction_text(magnitude)})i"
+
+
+def ref_scalar_text(value):
+    re, im = value.real, value.imag
+    if not re and not im:
+        return "0"
+    if not im:
+        return ref_fraction_text(re)
+    imag = ref_imag_magnitude_text(abs(im))
+    if not re:
+        return imag if im > 0 else f"-{imag}"
+    joiner = "+" if im > 0 else "-"
+    return f"{ref_fraction_text(re)}{joiner}{imag}"
+
+
+def ref_scalar_factor_text(value):
+    if value.real and value.imag:
+        return f"({ref_scalar_text(value)})"
+    return ref_scalar_text(value)
+
+
+def ref_unipoly_text(p, var="s"):
+    if not p:
+        return "0"
+    pieces = []
+    coeffs = p.coeffs
+    for power in range(len(coeffs) - 1, -1, -1):
+        coeff = coeffs[power]
+        if coeff.is_zero():
+            continue
+        negative = ref_display_negative(coeff)
+        magnitude = -coeff if negative else coeff
+        factors = []
+        if power == 0 or not magnitude.is_one():
+            factors.append(ref_scalar_factor_text(magnitude))
+        if power == 1:
+            factors.append(var)
+        elif power > 1:
+            factors.append(f"{var}^{power}")
+        text = "*".join(factors)
+        if not pieces:
+            pieces.append(f"-{text}" if negative else text)
+        else:
+            pieces.append(f"-{text}" if negative else f"+{text}")
+    return "".join(pieces)
+
+
+def ref_term_text(mono, coeff):
+    gamma_factors = [f"G({k})" if e == 1 else f"G({k})^{e}" for k, e in enumerate(mono) if e]
+    nonzero = [d for d, c in enumerate(coeff.coeffs) if not c.is_zero()]
+    if len(nonzero) != 1:
+        lead = coeff.leading_coefficient
+        negative = ref_display_negative(lead)
+        body = ref_unipoly_text(-coeff if negative else coeff)
+        return negative, "*".join([f"({body})"] + gamma_factors)
+    power = nonzero[0]
+    scalar = coeff.coefficient(power)
+    negative = ref_display_negative(scalar)
+    magnitude = -scalar if negative else scalar
+    factors = []
+    if not magnitude.is_one():
+        factors.append(ref_scalar_factor_text(magnitude))
+    if power == 1:
+        factors.append("s")
+    elif power > 1:
+        factors.append(f"s^{power}")
+    factors.extend(gamma_factors)
+    if not factors:
+        factors.append("1")
+    return negative, "*".join(factors)
+
+
+def ref_gamma_poly_text(p):
+    if not p:
+        return "0"
+    pieces = []
+    for mono, coeff in p.sorted_terms():
+        negative, text = ref_term_text(mono, coeff)
+        if not pieces:
+            pieces.append(f"-{text}" if negative else text)
+        else:
+            pieces.append(f"-{text}" if negative else f"+{text}")
+    return "".join(pieces)
+
+
+# 0, +-1, small fractions, 30-digit numerators over 20-digit denominators;
+# a part pair gives +-i and mixed a+bi.
+text_parts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+text_scalars = st.one_of(
+    st.builds(GaussianRational, text_parts),
+    st.builds(GaussianRational, text_parts, text_parts),
+)
+text_unipolys = st.lists(text_scalars, max_size=5).map(UniPoly)
+text_gamma_polys = st.integers(0, 3).flatmap(
+    lambda arity: st.dictionaries(monomials(arity), text_unipolys, max_size=5).map(
+        lambda terms: GammaPoly(arity, terms)
+    )
+)
+
+
+@given(text_scalars)
+def test_scalar_text_matches_the_reference(z):
+    assert scalar_text(z) == ref_scalar_text(z)
+
+
+@given(text_unipolys)
+def test_unipoly_text_matches_the_reference(p):
+    assert unipoly_text(p) == ref_unipoly_text(p)
+    assert unipoly_text(p, var="x") == ref_unipoly_text(p, "x")
+
+
+@given(text_gamma_polys)
+def test_gamma_poly_text_matches_the_reference(p):
+    assert gamma_poly_text(p) == ref_gamma_poly_text(p)

@@ -10,13 +10,22 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gamma_ideal.numeric as numeric
-from gamma_ideal.ideal import decide_membership
+from gamma_ideal.ideal import (
+    decide_membership,
+    normal_form,
+    random_member,
+    random_poly,
+    random_shift_system,
+)
 from gamma_ideal.numeric import (
     EPSILON_POLE,
     ComplexSample,
     PoleError,
+    SampleResidual,
     SamplingError,
     draw_samples,
     evaluate_poly,
@@ -243,3 +252,102 @@ def test_selftest_catches_a_corrupted_coefficient(monkeypatch):
     monkeypatch.setattr(numeric, "LANCZOS_COEFFICIENTS", tuple(broken))
     report = selftest_functional_equations(n_samples=40, seed=5)
     assert not report.ok
+
+
+# -- the float table against the per-sample reference
+
+
+def reference_evaluate(p, sys, s):
+    """The oracle's loop before the float table: every coefficient converted
+    again at every sample, every Gamma power computed again for every term.
+    ``complex`` of an exact scalar rounds each part correctly, as the int
+    division in ``UniPoly.complex_coeffs`` does."""
+    if p.arity != sys.arity:
+        raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
+    gammas = [gamma_eval(s + complex(a)) for a in sys.shifts]
+    value = 0j
+    scale = 0.0
+    for mono, coeff in p.terms.items():
+        term = 0j
+        for c in reversed(coeff.coeffs):
+            term = term * s + complex(c)
+        for g, exponent in zip(gammas, mono):
+            if exponent:
+                term *= g**exponent
+        value += term
+        scale += abs(term)
+    return value, scale
+
+
+def reference_rows(p, sys, n_samples, seed):
+    rows = []
+    for sample in draw_samples(sys, n_samples, seed):
+        value, scale = reference_evaluate(p, sys, sample.point)
+        rows.append(SampleResidual(sample.point, abs(value), scale))
+    return tuple(rows)
+
+
+def assert_same_bits(p, sys, sample_seeds=(0, 1, 7)):
+    verdict = decide_membership(p, sys)
+    for seed in sample_seeds:
+        expected = reference_rows(p, sys, 12, seed)
+        # Dataclass equality compares every float with ==, no tolerance.
+        assert verify_verdict(verdict, sys, n_samples=12, seed=seed).samples == expected
+        for row in expected:
+            assert evaluate_poly(p, sys, row.point) == reference_evaluate(p, sys, row.point)
+
+
+def chain_member(n: int, degree: int = 4):
+    sys = build_shift_system(list(range(n)))
+    power = sum((GammaPoly.variable(n, k) for k in range(n)), GammaPoly.zero(n)) ** degree
+    return sys, power - normal_form(power, sys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_float_table_matches_the_reference_on_random_systems(seed):
+    sys = random_shift_system(seed, max_arity=5)
+    noise = random_poly(sys.arity, seed, max_terms=5, max_monomial_degree=4)
+    if sys.generators():
+        member = random_member(sys, seed)
+        for p in (member, member + noise):
+            assert_same_bits(p, sys)
+    else:
+        assert_same_bits(noise, sys)
+
+
+def test_float_table_matches_the_reference_on_the_chain_member():
+    sys, member = chain_member(6)
+    assert_same_bits(member, sys)
+    assert_same_bits(member + GammaPoly.variable(6, 3) ** 3, sys)
+
+
+@pytest.mark.parametrize(
+    "shifts, text",
+    [
+        ("0,1", "G(0)^400"),  # the Gamma power overflows
+        ("0,150", "G(1)-G(0)"),  # Gamma itself overflows at the wide gap
+    ],
+)
+def test_overflows_as_the_reference_does(shifts, text):
+    sys = system(shifts)
+    p = parse_gamma_poly(text, sys.arity)
+    point = complex(4.5, 0.5)
+    with pytest.raises(OverflowError) as expected:
+        reference_evaluate(p, sys, point)
+    with pytest.raises(OverflowError) as got:
+        evaluate_poly(p, sys, point)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(OverflowError):
+        verify_verdict(decide_membership(p, sys), sys, n_samples=20, seed=0)
+
+
+def test_arity_and_pole_errors_are_raised_as_before():
+    with pytest.raises(ValueError, match="arity mismatch"):
+        evaluate_poly(GammaPoly.variable(2, 0), system("0"), complex(1))
+    with pytest.raises(PoleError):
+        evaluate_poly(GammaPoly.variable(1, 0), system("0"), complex(0))
+    # No sample, no evaluation: a mismatched polynomial goes unnoticed, as before.
+    verdict = decide_membership(GammaPoly.zero(2), system("0,1"))
+    report = verify_verdict(verdict, system("0"), n_samples=0)
+    assert report.samples == ()

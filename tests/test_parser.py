@@ -146,6 +146,26 @@ def test_parse_shifts_rejects_gaps(text):
         parse_shifts(text)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("0,\u0663", 2),
+        ("0, 1/", 5),
+        ("1/2, (1+i)/2, s", 13),
+        ("0, 1, G(0)", 8),
+        (",1", 0),
+        ("0,,1", 2),
+        ("0, 1,  ", 5),
+        ("0,", 2),
+    ],
+)
+def test_parse_shifts_positions_count_from_the_list_start(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_shifts(text)
+    assert err.value.position == position
+    assert str(err.value).endswith(f"(at position {position})")
+
+
 # -- complex points for the oracle
 
 
