@@ -18,20 +18,35 @@ separate literal rule.  Everything the canonical printer emits round-trips
 through this grammar.
 
 Positions in errors are 0-based character offsets into the input.
+Integer literals may have any number of digits.
+
+``G(k)`` indices are bound while parsing: the parser notes the first index
+out of range for the declared arity and reports it once the whole text has
+parsed, so a syntax error anywhere wins and otherwise the error names the
+first unbound index in text order.
 
 Sums and products are left-deep chains of binary nodes, one node per
-operator, and every pass over them (binding, lowering) walks those chains
-with loops, so a flat sum of any length parses.  Only parentheses nest, and
-nesting deeper than ``MAX_NESTING`` is a ``ParseError``.
+operator, and lowering walks those chains with loops, so a flat sum of any
+length parses.  Only parentheses nest, and nesting deeper than
+``MAX_NESTING`` is a ``ParseError``.
+
+Lowering folds the single-term factors of a product chain (literals, ``s``,
+``G(k)``, their powers, and any parenthesised factor that comes out as one
+term) into one running term: a Gaussian-integer scalar over a denominator,
+an ``s`` degree and a Gamma exponent list.  Division by a constant folds
+into the scalar.  The term is built once, and only the chain's parenthesised
+sums are multiplied in as polynomials, in chain order; multiplying by a
+single term keeps the order of the terms, so the result has the term order
+that multiplying factor by factor from the left gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .poly import GammaPoly, UniPoly, signed_sum
-from .scalars import I, ONE, GaussianRational, to_scalar
+from .scalars import I, GaussianRational, common_pair, decimal_int, decimal_text, to_scalar
 
 #: Deepest parenthesis nesting accepted; parsing and lowering recurse once
 #: per level.
@@ -146,11 +161,15 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, arity: int):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
+        self.arity = arity
+        #: The first out-of-range ``G(k)`` as (index, position), reported
+        #: only if the whole text parses.
+        self.unbound: Optional[Tuple[int, int]] = None
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.index]
@@ -178,7 +197,7 @@ class _Parser:
         if kind != "INT":
             raise ParseError(f"expected {what}, found {value or 'end of input'!r}", pos)
         self.advance()
-        return int(value), pos
+        return decimal_int(value), pos
 
     # -- grammar rules
 
@@ -222,7 +241,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "INT":
             self.advance()
-            return self._postfix_i(Lit(to_scalar(int(value))))
+            return self._postfix_i(Lit(to_scalar(decimal_int(value))))
         if kind == "NAME":
             if value == "s":
                 self.advance()
@@ -235,6 +254,8 @@ class _Parser:
                 self.expect_sym("(")
                 index, ipos = self.expect_uint("a gamma index")
                 self.expect_sym(")")
+                if self.unbound is None and not 0 <= index < self.arity:
+                    self.unbound = (index, ipos)
                 return GammaRef(index, pos=ipos)
             raise ParseError(f"unknown name {value!r}", pos)
         if kind == "SYM" and value == "(":
@@ -253,33 +274,21 @@ class _Parser:
         )
 
 
-def _walk(node: ExprAst) -> Iterator[ExprAst]:
-    """Every node in pre-order, left operands first; iterative."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        for name in ("base", "operand", "right", "left"):
-            child = getattr(node, name, None)
-            if child is not None:
-                stack.append(child)
-
-
 def parse_poly(text: str, arity: int) -> ExprAst:
     """Parse an expression and bind its G(k) references against ``arity``."""
     if not text.strip():
         raise ParseError("empty input", 0)
-    parser = _Parser(text)
+    parser = _Parser(text, arity)
     node = parser.parse_expr()
     kind, value, pos = parser.peek()
     if kind != "END":
         raise ParseError(f"unexpected trailing input {value!r}", pos)
-    for sub in _walk(node):
-        if isinstance(sub, GammaRef) and not 0 <= sub.index < arity:
-            raise ParseError(
-                f"gamma index {sub.index} out of range for {arity} declared shifts",
-                sub.pos,
-            )
+    if parser.unbound is not None:
+        index, pos = parser.unbound
+        raise ParseError(
+            f"gamma index {decimal_text(index)} out of range for {arity} declared shifts",
+            pos,
+        )
     return node
 
 
@@ -287,18 +296,10 @@ def lower_to_poly(node: ExprAst, arity: int) -> GammaPoly:
     """Evaluate an AST into the polynomial ring."""
     if isinstance(node, (Add, Sub)):
         return _lower_sum(node, arity)
-    if isinstance(node, (Mul, Div)):
+    if isinstance(node, (Mul, Div, Lit, SVar, GammaRef, Pow)):
         return _lower_product(node, arity)
-    if isinstance(node, Lit):
-        return GammaPoly.constant(arity, UniPoly.constant(node.value))
-    if isinstance(node, SVar):
-        return GammaPoly.s_var(arity)
-    if isinstance(node, GammaRef):
-        return GammaPoly.variable(arity, node.index)
     if isinstance(node, Neg):
         return -lower_to_poly(node.operand, arity)
-    if isinstance(node, Pow):
-        return lower_to_poly(node.base, arity) ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -322,20 +323,98 @@ def _lower_sum(node: ExprAst, arity: int) -> GammaPoly:
     return signed_sum(arity, parts)
 
 
+#: One factor of a product as a single term: scalar ``(re + im*i)/den`` with
+#: ``den`` positive, the power of ``s``, and ``(index, exponent)`` pairs with
+#: nonzero exponents.
+_Term = Tuple[int, int, int, int, Tuple[Tuple[int, int], ...]]
+
+
 def _lower_product(node: ExprAst, arity: int) -> GammaPoly:
-    """A chain of '*' and '/', multiplied from the left."""
+    """A chain of '*' and '/' (or a lone factor): its single-term factors
+    folded into one term, then its other factors multiplied in, in chain
+    order."""
     first, chain = _left_chain(node, (Mul, Div))
-    product = lower_to_poly(first, arity)
-    for op in chain:
-        factor = lower_to_poly(op.right, arity)
-        if isinstance(op, Mul):
-            product = product * factor
+    re, im, den, power = 1, 0, 1, 0
+    exponents = [0] * arity
+    polys: List[GammaPoly] = []
+    for op, factor in [(None, first)] + [(op, op.right) for op in chain]:
+        term = _factor_term(factor, arity)
+        if isinstance(op, Div):
+            term = _inverse(term)
+            if term is None:
+                raise ParseError("division is only defined by a nonzero constant", op.pos)
+        if isinstance(term, GammaPoly):
+            polys.append(term)
             continue
-        scalar = _constant_value(factor)
-        if scalar is None or scalar.is_zero():
-            raise ParseError("division is only defined by a nonzero constant", op.pos)
-        product = product * UniPoly.constant(ONE / scalar)
+        f_re, f_im, f_den, f_power, gammas = term
+        re, im = re * f_re - im * f_im, re * f_im + im * f_re
+        den *= f_den
+        power += f_power
+        for index, exponent in gammas:
+            exponents[index] += exponent
+    if not (re or im):
+        return GammaPoly._build(arity, {})
+    if polys and re == den and not im and not power and not any(exponents):
+        # Multiplying by 1 would only copy the first polynomial factor.
+        product = polys.pop(0)
+    else:
+        coeff = UniPoly._canonical([(0, 0)] * power + [(re, im)], den)
+        product = GammaPoly._build(arity, {tuple(exponents): coeff})
+    for poly in polys:
+        product = product * poly
     return product
+
+
+def _factor_term(node: ExprAst, arity: int) -> Union[_Term, GammaPoly]:
+    """One factor of a product as a single term when it is one, else as a
+    polynomial."""
+    exponent = 1
+    if (
+        isinstance(node, Pow)
+        and isinstance(node.base, (Lit, SVar, GammaRef))
+        and isinstance(node.exponent, int)
+        and node.exponent >= 0
+    ):
+        node, exponent = node.base, node.exponent
+    if isinstance(node, Lit):
+        value = node.value if exponent == 1 else node.value**exponent
+        return (*common_pair(value), 0, ())
+    if isinstance(node, SVar):
+        return 1, 0, 1, exponent, ()
+    if isinstance(node, GammaRef):
+        index = node.index
+        if not 0 <= index < arity:
+            raise ValueError(f"variable index {index} out of range for arity {arity}")
+        return 1, 0, 1, 0, ((index, exponent),) if exponent else ()
+    if isinstance(node, Pow):
+        return _single_term(lower_to_poly(node.base, arity) ** node.exponent)
+    return _single_term(lower_to_poly(node, arity))
+
+
+def _single_term(p: GammaPoly) -> Union[_Term, GammaPoly]:
+    """``p`` as a ``_Term`` when it is zero or one scalar times powers of
+    ``s`` and the ``G(k)``, else ``p`` itself."""
+    if not p._terms:
+        return 0, 0, 1, 0, ()
+    if len(p._terms) != 1:
+        return p
+    [(mono, coeff)] = p._terms.items()
+    *lower, (re, im) = coeff._num
+    if any(r or i for r, i in lower):
+        return p
+    gammas = tuple((index, e) for index, e in enumerate(mono) if e)
+    return re, im, coeff._den, len(lower), gammas
+
+
+def _inverse(term: Union[_Term, GammaPoly]) -> Optional[_Term]:
+    """The inverse of a nonzero constant, else None."""
+    if isinstance(term, GammaPoly):
+        return None
+    re, im, den, power, gammas = term
+    if power or gammas or not (re or im):
+        return None
+    # den / (re + im*i) = den * (re - im*i) / (re^2 + im^2)
+    return re * den, -im * den, re * re + im * im, 0, ()
 
 
 def _constant_value(p: GammaPoly) -> Union[GaussianRational, None]:

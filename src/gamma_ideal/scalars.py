@@ -7,7 +7,9 @@ decidable, in particular whether the difference of two shifts is an integer.
 and is the type at the package's boundary: parsing and shifts.  Polynomial
 coefficients are stored more compactly (see ``poly``), as Gaussian integers
 over a common denominator, and ``pair_text`` renders that form; it is the
-one scalar renderer, which ``scalar_text`` also calls.
+one scalar renderer, which ``scalar_text`` also calls.  Integers of any
+length print (``decimal_text``) and parse (``decimal_int``), also past the
+interpreter's limit on ``str(int)`` and ``int(str)``.
 Floating-point complex numbers are accepted only by the numeric oracle,
 never by the symbolic core.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TypeVar, Union
+from typing import Callable, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["GaussianRational", int, Fraction]
@@ -161,32 +163,68 @@ ONE = GaussianRational(Fraction(1))
 I = GaussianRational(Fraction(0), Fraction(1))
 
 
-def _ratio_text(num: int, den: int) -> str:
+def decimal_text(n: int) -> str:
+    """``str(n)`` for an int of any length.
+
+    ``str`` refuses ints past the interpreter's digit limit (4300 digits by
+    default); those are split at a power of ten into halves that it takes.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + decimal_text(-n)
+    half = n.bit_length() * 3 // 20  # about half the digits: log10(2) < 0.3
+    high, low = divmod(n, 10**half)
+    return decimal_text(high) + decimal_text(low).zfill(half)
+
+
+def decimal_int(digits: str) -> int:
+    """``int(digits)`` for ASCII decimal digits of any length; ``int`` alone
+    refuses strings past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    half = len(digits) // 2
+    return decimal_int(digits[:-half]) * 10**half + decimal_int(digits[-half:])
+
+
+def _ratio_text(num: int, den: int, digits: Callable[[int], str]) -> str:
     """``num/den`` in lowest terms; ``den`` is positive."""
     g = gcd(num, den)
     if g != 1:
         num //= g
         den //= g
-    return str(num) if den == 1 else f"{num}/{den}"
+    return digits(num) if den == 1 else f"{digits(num)}/{digits(den)}"
 
 
 def pair_text(re: int, im: int, den: int) -> str:
     """Canonical decimal-free rendering of ``(re + im*i) / den`` with ``den``
     positive: "p/q", "(p/q)i", or a sum of both, each part in lowest terms."""
+    try:
+        return _pair_text(re, im, den, str)
+    except ValueError:  # a part past the interpreter's limit on str(int)
+        return _pair_text(re, im, den, decimal_text)
+
+
+def _pair_text(re: int, im: int, den: int, digits: Callable[[int], str]) -> str:
     if not im:
-        return _ratio_text(re, den)
+        return _ratio_text(re, den, digits)
     g = gcd(im, den)
     magnitude, im_den = abs(im) // g, den // g
     if im_den != 1:
-        imag = f"({magnitude}/{im_den})i"
+        imag = f"({digits(magnitude)}/{digits(im_den)})i"
     elif magnitude == 1:
         imag = "i"
     else:
-        imag = f"{magnitude}i"
+        imag = f"{digits(magnitude)}i"
     if not re:
         return imag if im > 0 else f"-{imag}"
     joiner = "+" if im > 0 else "-"
-    return f"{_ratio_text(re, den)}{joiner}{imag}"
+    return f"{_ratio_text(re, den, digits)}{joiner}{imag}"
 
 
 def pair_factor_text(re: int, im: int, den: int) -> str:
@@ -197,7 +235,7 @@ def pair_factor_text(re: int, im: int, den: int) -> str:
     return pair_text(re, im, den)
 
 
-def _common_pair(value: GaussianRational) -> tuple[int, int, int]:
+def common_pair(value: GaussianRational) -> tuple[int, int, int]:
     """``value`` as ``(re, im, den)`` ints over one positive denominator."""
     re, im = value.real, value.imag
     den = lcm(re.denominator, im.denominator)
@@ -210,9 +248,9 @@ def _common_pair(value: GaussianRational) -> tuple[int, int, int]:
 
 def scalar_text(value: GaussianRational) -> str:
     """Canonical decimal-free rendering: "p/q", "(p/q)i", or a sum of both."""
-    return pair_text(*_common_pair(value))
+    return pair_text(*common_pair(value))
 
 
 def scalar_factor_text(value: GaussianRational) -> str:
     """Rendering safe to splice into a product: mixed values get parentheses."""
-    return pair_factor_text(*_common_pair(value))
+    return pair_factor_text(*common_pair(value))

@@ -203,6 +203,20 @@ def test_reduce_json(capsys):
     assert json.loads(out)["normal_form"] == "s*G(0)^2"
 
 
+def test_integers_past_the_string_limit(capsys):
+    # 4400 digits: Python's str(int) and int(str) stop at 4300 by default
+    digits = "7" + "0" * 4398 + "3"
+    assert run(capsys, "reduce", "0", f"{digits}*G(0)") == (0, f"{digits}*G(0)\n", "")
+    code, out, _ = run(capsys, "reduce", "0", f"G(0)-{digits}/3*s*G(0)", "--json")
+    assert code == 0
+    assert json.loads(out)["normal_form"] == f"-({digits}/3*s-1)*G(0)"
+    code, out, err = run(capsys, "reduce", "0,1", f"G(0)+G({digits})")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: gamma index {digits} out of range for 2 declared shifts (at position 7)\n"
+    )
+
+
 # -- gamma
 
 

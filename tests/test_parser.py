@@ -1,11 +1,15 @@
 from fractions import Fraction
+from typing import Iterator, List, Tuple, Union
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamma_ideal.parser import (
     MAX_NESTING,
     Add,
+    Div,
+    ExprAst,
     GammaRef,
     Lit,
     Mul,
@@ -21,8 +25,8 @@ from gamma_ideal.parser import (
     parse_scalar,
     parse_shifts,
 )
-from gamma_ideal.poly import GammaPoly, UniPoly, gamma_poly_text
-from gamma_ideal.scalars import I, GaussianRational, to_scalar
+from gamma_ideal.poly import GammaPoly, UniPoly, gamma_poly_text, signed_sum
+from gamma_ideal.scalars import I, ONE, GaussianRational, decimal_text, to_scalar
 from strategies import gamma_polys, scalars
 
 
@@ -48,6 +52,27 @@ def test_gamma_index_out_of_range():
         parse_poly("G(3)", 2)
     assert err.value.position == 2
     assert "out of range" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        # a syntax error anywhere wins over an unbound index
+        ("G(9)+(", "expected a value, found 'end of input'", 6),
+        ("G(9)+G(0))", "unexpected trailing input ')'", 9),
+        ("G(9)+$", "unexpected character '$'", 5),
+        # otherwise the first unbound index in text order
+        ("G(1)+G(9)+G(8)", "gamma index 9 out of range for 2 declared shifts", 7),
+        ("(G(0)*(G(7)+s))^2-G(3)", "gamma index 7 out of range for 2 declared shifts", 9),
+        # binding comes before lowering, so before the division check
+        ("G(5)/s", "gamma index 5 out of range for 2 declared shifts", 2),
+        ("1/s+G(5)", "gamma index 5 out of range for 2 declared shifts", 6),
+    ],
+)
+def test_parse_error_precedence(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_gamma_poly(text, 2)
+    assert (err.value.message, err.value.position) == (message, position)
 
 
 @pytest.mark.parametrize(
@@ -264,3 +289,227 @@ def test_nesting_past_the_limit_is_a_parse_error(depth):
 def test_canonical_corpus_round_trips(text):
     p = parse_gamma_poly(text, 3)
     assert parse_gamma_poly(gamma_poly_text(p), 3) == p
+
+
+# -- lowering against the factor-by-factor reference
+#
+# ``reference_lower`` is the lowering that multiplied a product chain one
+# factor at a time, each factor its own polynomial, and ``reference_bind``
+# the separate binding pass over the finished tree.  The folded lowering and
+# the binding during the parse must give the same term storage, the same
+# term order and the same errors.
+
+
+def reference_walk(node: ExprAst) -> Iterator[ExprAst]:
+    """Every node in pre-order, left operands first; iterative."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in ("base", "operand", "right", "left"):
+            child = getattr(node, name, None)
+            if child is not None:
+                stack.append(child)
+
+
+def reference_bind(text: str, arity: int) -> ExprAst:
+    node = parse_poly(text, 1 << 62)  # syntax only
+    for sub in reference_walk(node):
+        if isinstance(sub, GammaRef) and not 0 <= sub.index < arity:
+            raise ParseError(
+                f"gamma index {sub.index} out of range for {arity} declared shifts",
+                sub.pos,
+            )
+    return node
+
+
+def reference_lower(node: ExprAst, arity: int) -> GammaPoly:
+    """Evaluate an AST into the polynomial ring."""
+    if isinstance(node, (Add, Sub)):
+        return _reference_sum(node, arity)
+    if isinstance(node, (Mul, Div)):
+        return _reference_product(node, arity)
+    if isinstance(node, Lit):
+        return GammaPoly.constant(arity, UniPoly.constant(node.value))
+    if isinstance(node, SVar):
+        return GammaPoly.s_var(arity)
+    if isinstance(node, GammaRef):
+        return GammaPoly.variable(arity, node.index)
+    if isinstance(node, Neg):
+        return -reference_lower(node.operand, arity)
+    if isinstance(node, Pow):
+        return reference_lower(node.base, arity) ** node.exponent
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _reference_chain(node: ExprAst, kinds: tuple) -> Tuple[ExprAst, List[ExprAst]]:
+    chain = []
+    while isinstance(node, kinds):
+        chain.append(node)
+        node = node.left
+    chain.reverse()
+    return node, chain
+
+
+def _reference_sum(node: ExprAst, arity: int) -> GammaPoly:
+    first, chain = _reference_chain(node, (Add, Sub))
+    parts = [(1, reference_lower(first, arity))]
+    for op in chain:
+        parts.append((1 if isinstance(op, Add) else -1, reference_lower(op.right, arity)))
+    return signed_sum(arity, parts)
+
+
+def _reference_product(node: ExprAst, arity: int) -> GammaPoly:
+    """A chain of '*' and '/', multiplied from the left."""
+    first, chain = _reference_chain(node, (Mul, Div))
+    product = reference_lower(first, arity)
+    for op in chain:
+        factor = reference_lower(op.right, arity)
+        if isinstance(op, Mul):
+            product = product * factor
+            continue
+        scalar = _reference_constant(factor)
+        if scalar is None or scalar.is_zero():
+            raise ParseError("division is only defined by a nonzero constant", op.pos)
+        product = product * UniPoly.constant(ONE / scalar)
+    return product
+
+
+def _reference_constant(p: GammaPoly) -> Union[GaussianRational, None]:
+    if p.is_zero():
+        return to_scalar(0)
+    items = list(p.terms.items())
+    if len(items) != 1:
+        return None
+    mono, coeff = items[0]
+    if any(mono) or coeff.degree > 0:
+        return None
+    return coeff.coefficient(0)
+
+
+def storage(p: GammaPoly):
+    """Terms in stored order, each coefficient as its int pairs and
+    denominator."""
+    return [(mono, coeff._num, coeff._den) for mono, coeff in p.terms.items()]
+
+
+def outcome(parse, lower, text: str, arity: int):
+    try:
+        return storage(lower(parse(text, arity), arity))
+    except ParseError as exc:
+        return ("ParseError", exc.message, exc.position)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+ARITY = 3
+
+_ATOMS = st.sampled_from(
+    ["0", "1", "2", "7", "12", "123456789012345678901", "i", "2i", "(1/2)i", "(3-2i)"]
+    + ["s", "G(0)", "G(1)", "G(2)"] * 4
+    + ["G(3)"]  # unbound at arity 3
+)
+# Constants (among them zero ones), and non-constants, to divide by.
+_DIVISORS = st.sampled_from(
+    ["2", "3", "i", "2i", "(1/2)i", "(1+i)", "(3-2i)^2", "(s-s+2)", "(G(0)-G(0)+5)",
+     "0^0", "G(1)^0", "(1/3)", "0", "(1-1)", "0^2", "s", "G(0)", "(s+1)", "(G(1)+1)"]
+)
+
+
+def _joined(first: str, rest) -> str:
+    return first + "".join(op + text for op, text in rest)
+
+
+def _expressions(inner):
+    primary = st.one_of(
+        _ATOMS, _ATOMS, inner.map(lambda t: f"({t})"), inner.map(lambda t: f"({t})i")
+    )
+    factor = st.one_of(
+        primary, st.tuples(primary, st.integers(0, 3)).map(lambda p: f"{p[0]}^{p[1]}")
+    )
+    step = st.one_of(
+        st.tuples(st.just("*"), factor),
+        st.tuples(st.just("*"), factor),
+        st.tuples(st.just("*"), factor),
+        st.tuples(st.just("/"), st.one_of(_DIVISORS, _DIVISORS, factor)),
+    )
+    term = st.builds(_joined, factor, st.lists(step, max_size=4))
+    return st.builds(
+        lambda sign, first, rest: sign + _joined(first, rest),
+        st.sampled_from(["", "", "-", "+"]),
+        term,
+        st.lists(st.tuples(st.sampled_from("+-"), term), min_size=1, max_size=4),
+    )
+
+
+expression_texts = st.recursive(_ATOMS, _expressions, max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_texts)
+def test_lowering_matches_the_reference(text):
+    expected = outcome(reference_bind, reference_lower, text, ARITY)
+    assert outcome(parse_poly, lower_to_poly, text, ARITY) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(expression_texts, min_size=1, max_size=4), st.sampled_from("+-"))
+def test_flat_sums_of_products_match_the_reference(texts, op):
+    text = op.join(f"({t})*G(0)^2*s" if k % 2 else t for k, t in enumerate(texts))
+    expected = outcome(reference_bind, reference_lower, text, ARITY)
+    assert outcome(parse_poly, lower_to_poly, text, ARITY) == expected
+
+
+@settings(deadline=None)
+@given(gamma_polys(ARITY, max_terms=6))
+def test_printed_polynomials_lower_like_the_reference(p):
+    text = gamma_poly_text(p)
+    printed = [(mono, coeff._num, coeff._den) for mono, coeff in p.sorted_terms()]
+    assert outcome(parse_poly, lower_to_poly, text, ARITY) == printed
+    assert outcome(reference_bind, reference_lower, text, ARITY) == printed
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "i", "2i", "(1/2)i", "(3-2i)", "0", "0^0", "0*G(0)", "G(0)*0^3", "i^3*s",
+        "2i^3", "(1/2)i^2*G(1)", "(3-2i)^2*s^2*G(2)^3", "s^0*G(0)^0", "7/2*s/(1+i)",
+        "G(0)/2/3i/(1/2)i", "5/2*s^3*G(0)^6*G(1)*G(2)", "s*(G(0)+G(1))*G(2)*(G(0)-s)",
+        "(G(0)+1)*(G(0)-1)*(s+2)", "(s+1)*G(0)", "(G(0)-G(0))*G(1)", "-(2*s)*G(1)",
+        "1*(G(0)+G(1))*(G(1)-s)", "(G(0)+G(1)+G(2))^2-((1+s+s*(s+1))*G(0))^2",
+        "G(1)*(s/2)", "s*2i*G(0)", "(2*G(0))^3*s", "(G(0)+G(1))^2*(G(0)-G(1))^2",
+        "1/s", "G(0)/G(0)", "1/0", "s/(1-1)", "s/(s+1)", "(1/s)*(1/G(0))",
+        "s*(1/G(1))/0", "G(0)/(2*s/s)", "G(0)/0^2", "(s+1)/(G(0)+1)",
+    ],
+)
+def test_corpus_lowers_like_the_reference(text):
+    expected = outcome(reference_bind, reference_lower, text, ARITY)
+    assert outcome(parse_poly, lower_to_poly, text, ARITY) == expected
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        GammaRef(5),
+        Pow(GammaRef(5), 0),
+        Mul(Div(SVar(), SVar(), pos=1), GammaRef(5)),
+        Mul(GammaRef(5), Div(SVar(), SVar(), pos=1)),
+        Pow(SVar(), -1),
+        Pow(Add(SVar(), Lit(ONE)), -2),
+    ],
+)
+def test_hand_built_trees_fail_like_the_reference(node):
+    # lower_to_poly takes trees that parse_poly never makes
+    expected = outcome(lambda n, _: n, reference_lower, node, 2)
+    assert expected[0] in ("ParseError", "ValueError")
+    assert outcome(lambda n, _: n, lower_to_poly, node, 2) == expected
+
+
+def test_long_literals_round_trip():
+    big = 7 * 10**4399 + 3
+    p = GammaPoly(2, {(1, 0): UniPoly([Fraction(big, 10**4500 + 1), GaussianRational(0, big)])})
+    text = gamma_poly_text(p)
+    assert str(big % 10**100) in text
+    assert parse_gamma_poly(text, 2) == p
+    literal = f"{decimal_text(big)}/{decimal_text(big + 1)}"
+    assert parse_scalar(literal) == GaussianRational(Fraction(big, big + 1))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gamma_ideal.parser import parse_scalar
 from gamma_ideal.scalars import (
@@ -9,6 +10,9 @@ from gamma_ideal.scalars import (
     ONE,
     ZERO,
     GaussianRational,
+    decimal_int,
+    decimal_text,
+    pair_text,
     scalar_factor_text,
     scalar_text,
     to_scalar,
@@ -109,3 +113,38 @@ def test_factor_text_parenthesizes_mixed_values():
 @given(scalars)
 def test_text_round_trips_through_parser(z):
     assert parse_scalar(scalar_text(z)) == z
+
+
+# -- integers past the interpreter's digit limit (4300 by default)
+
+
+@given(st.integers(-(10**50), 10**50))
+def test_decimal_text_is_str_for_short_ints(n):
+    assert decimal_text(n) == str(n)
+    assert decimal_int(str(abs(n))) == abs(n)
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [
+        (10**5000, "1" + "0" * 5000),
+        (10**5000 + 1, "1" + "0" * 4999 + "1"),
+        (-(10**9000 - 1), "-" + "9" * 9000),
+        (7 * 10**4399 + 3, "7" + "0" * 4398 + "3"),
+    ],
+    ids=["1e5000", "1e5000+1", "-(1e9000-1)", "7e4399+3"],
+)
+def test_decimal_text_and_int_past_the_limit(n, text):
+    assert decimal_text(n) == text
+    assert decimal_int(text.lstrip("-")) == abs(n)
+
+
+def test_decimal_int_rejects_non_digits():
+    with pytest.raises(ValueError):
+        decimal_int("12a" * 2000)
+
+
+def test_pair_text_prints_long_parts():
+    big = 10**4400 + 1
+    zeros = "0" * 4399
+    assert pair_text(big, -2 * big, 3) == f"1{zeros}1/3-(2{zeros}2/3)i"
