@@ -18,7 +18,8 @@ separate literal rule.  Everything the canonical printer emits round-trips
 through this grammar.
 
 Positions in errors are 0-based character offsets into the input.
-Integer literals may have any number of digits.
+Integer literals may have any number of digits; exponents and ``G(k)``
+indices are read with ``int`` and keep the interpreter's digit limit.
 
 ``G(k)`` indices are bound while parsing: the parser notes the first index
 out of range for the declared arity and reports it once the whole text has
@@ -45,8 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from .poly import GammaPoly, UniPoly, signed_sum
-from .scalars import I, GaussianRational, common_pair, decimal_int, decimal_text, to_scalar
+from .poly import GammaPoly, UniPoly, _pair_scalar, signed_sum
+from .scalars import I, GaussianRational, common_pair, decimal_int, to_scalar
 
 #: Deepest parenthesis nesting accepted; parsing and lowering recurse once
 #: per level.
@@ -197,7 +198,7 @@ class _Parser:
         if kind != "INT":
             raise ParseError(f"expected {what}, found {value or 'end of input'!r}", pos)
         self.advance()
-        return decimal_int(value), pos
+        return int(value), pos
 
     # -- grammar rules
 
@@ -286,7 +287,7 @@ def parse_poly(text: str, arity: int) -> ExprAst:
     if parser.unbound is not None:
         index, pos = parser.unbound
         raise ParseError(
-            f"gamma index {decimal_text(index)} out of range for {arity} declared shifts",
+            f"gamma index {index} out of range for {arity} declared shifts",
             pos,
         )
     return node
@@ -417,19 +418,6 @@ def _inverse(term: Union[_Term, GammaPoly]) -> Optional[_Term]:
     return re * den, -im * den, re * re + im * im, 0, ()
 
 
-def _constant_value(p: GammaPoly) -> Union[GaussianRational, None]:
-    """The scalar value of a constant polynomial, else None."""
-    if p.is_zero():
-        return to_scalar(0)
-    items = list(p.terms.items())
-    if len(items) != 1:
-        return None
-    mono, coeff = items[0]
-    if any(mono) or coeff.degree > 0:
-        return None
-    return coeff.coefficient(0)
-
-
 def parse_gamma_poly(text: str, arity: int) -> GammaPoly:
     """Parse straight to a polynomial; the usual entry point."""
     return lower_to_poly(parse_poly(text, arity), arity)
@@ -437,11 +425,11 @@ def parse_gamma_poly(text: str, arity: int) -> GammaPoly:
 
 def parse_scalar(text: str) -> GaussianRational:
     """Parse an exact Gaussian-rational constant (shift-list entries)."""
-    poly = parse_gamma_poly(text, 0)
-    value = _constant_value(poly)
-    if value is None:
+    term = _single_term(parse_gamma_poly(text, 0))
+    if isinstance(term, GammaPoly) or term[3]:
         raise ParseError("expected a constant, not a polynomial in s", 0)
-    return value
+    re, im, den, _, _ = term
+    return _pair_scalar((re, im), den)
 
 
 def parse_shifts(text: str) -> Tuple[GaussianRational, ...]:

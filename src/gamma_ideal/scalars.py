@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, TypeVar, Union
+from typing import TypeVar, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["GaussianRational", int, Fraction]
@@ -192,39 +192,34 @@ def decimal_int(digits: str) -> int:
     return decimal_int(digits[:-half]) * 10**half + decimal_int(digits[-half:])
 
 
-def _ratio_text(num: int, den: int, digits: Callable[[int], str]) -> str:
+def _ratio_text(num: int, den: int) -> str:
     """``num/den`` in lowest terms; ``den`` is positive."""
     g = gcd(num, den)
     if g != 1:
         num //= g
         den //= g
-    return digits(num) if den == 1 else f"{digits(num)}/{digits(den)}"
+    if den == 1:
+        return decimal_text(num)
+    return f"{decimal_text(num)}/{decimal_text(den)}"
 
 
 def pair_text(re: int, im: int, den: int) -> str:
     """Canonical decimal-free rendering of ``(re + im*i) / den`` with ``den``
     positive: "p/q", "(p/q)i", or a sum of both, each part in lowest terms."""
-    try:
-        return _pair_text(re, im, den, str)
-    except ValueError:  # a part past the interpreter's limit on str(int)
-        return _pair_text(re, im, den, decimal_text)
-
-
-def _pair_text(re: int, im: int, den: int, digits: Callable[[int], str]) -> str:
     if not im:
-        return _ratio_text(re, den, digits)
+        return _ratio_text(re, den)
     g = gcd(im, den)
     magnitude, im_den = abs(im) // g, den // g
     if im_den != 1:
-        imag = f"({digits(magnitude)}/{digits(im_den)})i"
+        imag = f"({decimal_text(magnitude)}/{decimal_text(im_den)})i"
     elif magnitude == 1:
         imag = "i"
     else:
-        imag = f"{digits(magnitude)}i"
+        imag = f"{decimal_text(magnitude)}i"
     if not re:
         return imag if im > 0 else f"-{imag}"
     joiner = "+" if im > 0 else "-"
-    return f"{_ratio_text(re, den, digits)}{joiner}{imag}"
+    return f"{_ratio_text(re, den)}{joiner}{imag}"
 
 
 def pair_factor_text(re: int, im: int, den: int) -> str:

@@ -210,11 +210,16 @@ def test_integers_past_the_string_limit(capsys):
     code, out, _ = run(capsys, "reduce", "0", f"G(0)-{digits}/3*s*G(0)", "--json")
     assert code == 0
     assert json.loads(out)["normal_form"] == f"-({digits}/3*s-1)*G(0)"
-    code, out, err = run(capsys, "reduce", "0,1", f"G(0)+G({digits})")
+
+
+@pytest.mark.parametrize("text", ["s^{}", "G(0)^{}", "G(0)+G({})"])
+def test_exponents_and_indices_past_the_string_limit(capsys, text):
+    # only literals are read past the limit; a 4400-digit exponent or index
+    # stays a usage error, as the interpreter's int() reports it
+    digits = "7" + "0" * 4398 + "3"
+    code, out, err = run(capsys, "reduce", "0,1", text.format(digits))
     assert (code, out) == (2, "")
-    assert err == (
-        f"error: gamma index {digits} out of range for 2 declared shifts (at position 7)\n"
-    )
+    assert err.startswith("error: ") and "4300" in err
 
 
 # -- gamma
