@@ -12,9 +12,6 @@ from .ideal import (
     certify,
     decide_membership,
     normal_form,
-    random_member,
-    random_poly,
-    random_shift_system,
 )
 from .numeric import (
     ComplexSample,
@@ -96,9 +93,6 @@ __all__ = [
     "parse_poly",
     "parse_scalar",
     "parse_shifts",
-    "random_member",
-    "random_poly",
-    "random_shift_system",
     "rising_factorial",
     "scalar_text",
     "selftest_functional_equations",

@@ -17,6 +17,7 @@ stable across runs with the same seed).  Exit codes: 0 success/member,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -198,7 +199,14 @@ def cmd_reduce(config: CliConfig) -> int:
 
 def cmd_gamma(config: CliConfig) -> int:
     point = parse_complex(config.eval_point)
-    value = gamma_eval(point)
+    try:
+        value = gamma_eval(point)
+        finite = cmath.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        print(f"error: gamma({_complex_text(point)}) is out of floating-point range", file=sys.stderr)
+        return 1
     if config.json_output:
         _emit_json(
             {

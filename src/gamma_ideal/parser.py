@@ -43,11 +43,12 @@ that multiplying factor by factor from the left gives.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from .poly import GammaPoly, UniPoly, _pair_scalar, signed_sum
-from .scalars import I, GaussianRational, common_pair, decimal_int, to_scalar
+from .poly import GammaPoly, UniPoly, signed_sum
+from .scalars import I, GaussianRational, decimal_int
 
 #: Deepest parenthesis nesting accepted; parsing and lowering recurse once
 #: per level.
@@ -242,7 +243,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "INT":
             self.advance()
-            return self._postfix_i(Lit(to_scalar(decimal_int(value))))
+            return self._postfix_i(Lit(GaussianRational(decimal_int(value))))
         if kind == "NAME":
             if value == "s":
                 self.advance()
@@ -379,7 +380,7 @@ def _factor_term(node: ExprAst, arity: int) -> Union[_Term, GammaPoly]:
         node, exponent = node.base, node.exponent
     if isinstance(node, Lit):
         value = node.value if exponent == 1 else node.value**exponent
-        return (*common_pair(value), 0, ())
+        return value.re, value.im, value.den, 0, ()
     if isinstance(node, SVar):
         return 1, 0, 1, exponent, ()
     if isinstance(node, GammaRef):
@@ -429,7 +430,7 @@ def parse_scalar(text: str) -> GaussianRational:
     if isinstance(term, GammaPoly) or term[3]:
         raise ParseError("expected a constant, not a polynomial in s", 0)
     re, im, den, _, _ = term
-    return _pair_scalar((re, im), den)
+    return GaussianRational._of(re, im, den)
 
 
 def parse_shifts(text: str) -> Tuple[GaussianRational, ...]:
@@ -452,15 +453,26 @@ def parse_shifts(text: str) -> Tuple[GaussianRational, ...]:
 
 
 def parse_complex(text: str) -> complex:
-    """A complex double from either float syntax ('2.5+1.5i') or an exact
-    scalar expression ('1/2', '(1+i)/2')."""
+    """A finite complex double from either float syntax ('2.5+1.5i') or an
+    exact scalar expression ('1/2', '(1+i)/2')."""
     compact = text.strip().replace(" ", "")
     if not compact:
         raise ParseError("empty complex literal", 0)
+    value = None
     if compact.isascii():
         # ``complex`` would also read other scripts' digits
         try:
-            return complex(compact.replace("i", "j"))
+            value = complex(compact.replace("i", "j"))
         except ValueError:
             pass
-    return complex(parse_scalar(text))
+    try:
+        if value is None:
+            value = complex(parse_scalar(text))
+        finite = cmath.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ParseError(
+            "not a finite complex double", len(text) - len(text.lstrip())
+        )
+    return value

@@ -7,10 +7,11 @@ Two layers:
   and for the shift multipliers.  A polynomial is stored as a tuple of
   Gaussian integers ``(re, im)``, plain int pairs, over one positive common
   denominator, kept primitive: the denominator and all the parts have no
-  common factor.  Arithmetic, printing and the complex doubles of the
-  numeric oracle (``complex_coeffs``) work on these ints directly; the
-  exact scalars of ``gamma_ideal.scalars`` appear only at the boundary
-  (building a polynomial from scalars, reading ``coeffs`` back).
+  common factor.  It is the storage of ``GaussianRational`` (an
+  ``(re, im, den)`` int triple) with one denominator for all coefficients,
+  so building a polynomial from scalars and reading ``coeffs`` back only
+  rescale ints.  Arithmetic, printing and the complex doubles of the
+  numeric oracle (``complex_coeffs``) work on the ints directly.
 
 * ``GammaPoly`` -- sparse multivariate polynomials in placeholders
   ``G(0), ..., G(n-1)`` standing for Gamma values at shifted arguments.
@@ -31,7 +32,6 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import add
@@ -43,6 +43,7 @@ from .scalars import (
     ZERO,
     GaussianRational,
     ScalarLike,
+    _scalar_operand,
     pair_factor_text,
     power_by_squaring,
     to_scalar,
@@ -107,17 +108,10 @@ class UniPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Sequence[ScalarLike] = ()):
-        ratios = []
-        den = 1
-        for c in coeffs:
-            c = to_scalar(c)
-            re, re_den = c.real.as_integer_ratio()
-            im, im_den = c.imag.as_integer_ratio()
-            if re_den != 1 or im_den != 1:
-                den = lcm(den, re_den, im_den)
-            ratios.append((re, re_den, im, im_den))
-        # Over the lcm of the denominators the parts have no common factor.
-        num = [(re * (den // re_den), im * (den // im_den)) for re, re_den, im, im_den in ratios]
+        scalars = [to_scalar(c) for c in coeffs]
+        # Over the lcm of canonical denominators the parts have no common factor.
+        den = lcm(*(c.den for c in scalars))
+        num = [(c.re * (den // c.den), c.im * (den // c.den)) for c in scalars]
         while num and num[-1] == (0, 0):
             num.pop()
         self._num: Tuple[Pair, ...] = tuple(num)
@@ -181,7 +175,7 @@ class UniPoly:
     def coeffs(self) -> Tuple[GaussianRational, ...]:
         """The coefficients in ascending powers, as exact scalars."""
         den = self._den
-        return tuple(_pair_scalar(pair, den) for pair in self._num)
+        return tuple(GaussianRational._of(re, im, den) for re, im in self._num)
 
     @property
     def degree(self) -> Union[int, float]:
@@ -191,11 +185,11 @@ class UniPoly:
     def leading_coefficient(self) -> GaussianRational:
         if not self._num:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return _pair_scalar(self._num[-1], self._den)
+        return GaussianRational._of(*self._num[-1], self._den)
 
     def coefficient(self, power: int) -> GaussianRational:
         if 0 <= power < len(self._num):
-            return _pair_scalar(self._num[power], self._den)
+            return GaussianRational._of(*self._num[power], self._den)
         return ZERO
 
     def __bool__(self) -> bool:
@@ -262,9 +256,6 @@ class UniPoly:
     def __pow__(self, exponent: int) -> UniPoly:
         return power_by_squaring(self, exponent, UniPoly.one())
 
-    def __divmod__(self, other: UniPoly) -> Tuple[UniPoly, UniPoly]:
-        return euclid_divide(self, other)
-
     # -- evaluation and substitution
 
     def __call__(self, point):
@@ -304,13 +295,6 @@ class UniPoly:
         return unipoly_text(self)
 
 
-def _pair_scalar(pair: Pair, den: int) -> GaussianRational:
-    re, im = pair
-    if den == 1:
-        return GaussianRational._of(Fraction(re), Fraction(im))
-    return GaussianRational._of(Fraction(re, den), Fraction(im, den))
-
-
 def _convolve_into(re: List[int], im: List[int], a: Sequence[Pair], b: Sequence[Pair]) -> None:
     """Add the product of the Gaussian-integer sequences a and b into the
     parts re and im, which must be at least len(a) + len(b) - 1 long."""
@@ -332,7 +316,7 @@ def _convolve_into(re: List[int], im: List[int], a: Sequence[Pair], b: Sequence[
 
 
 def _unipoly_operand(value: object) -> bool:
-    return isinstance(value, (UniPoly, GaussianRational, int, Fraction))
+    return isinstance(value, UniPoly) or _scalar_operand(value)
 
 
 def _to_unipoly(value: UniPolyLike) -> UniPoly:
@@ -406,6 +390,9 @@ class GammaPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaPoly is immutable")
+
+    def __reduce__(self):
+        return GammaPoly._build, (self.arity, self._terms)
 
     # -- constructors
 

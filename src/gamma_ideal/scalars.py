@@ -3,11 +3,12 @@
 The coefficient field of the whole package is Q(i): complex numbers with
 rational real and imaginary parts.  This keeps every arithmetic question
 decidable, in particular whether the difference of two shifts is an integer.
-``GaussianRational`` stores one such number as a ``fractions.Fraction`` pair
-and is the type at the package's boundary: parsing and shifts.  Polynomial
-coefficients are stored more compactly (see ``poly``), as Gaussian integers
-over a common denominator, and ``pair_text`` renders that form; it is the
-one scalar renderer, which ``scalar_text`` also calls.  Integers of any
+``GaussianRational`` stores one such number as an int triple
+``(re + im*i) / den``, canonical: ``den`` is positive and ``re``, ``im`` and
+``den`` share no factor.  Polynomial coefficients (see ``poly``) are the
+same Gaussian integers over one denominator per polynomial, so every layer
+reads the ints directly.  ``pair_text`` renders ``(re + im*i) / den``; it is
+the one scalar renderer, which ``scalar_text`` also calls.  Integers of any
 length print (``decimal_text``) and parse (``decimal_int``), also past the
 interpreter's limit on ``str(int)`` and ``int(str)``.
 Floating-point complex numbers are accepted only by the numeric oracle,
@@ -16,7 +17,6 @@ never by the symbolic core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TypeVar, Union
@@ -25,52 +25,87 @@ RationalLike = Union[int, Fraction]
 ScalarLike = Union["GaussianRational", int, Fraction]
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """A complex number a + b*i with exact rational parts.
+    """A complex number (re + im*i) / den with int parts.
 
-    ``Fraction`` keeps both parts in lowest terms with a positive
-    denominator, so equality and hashing are structural.
+    Every instance is canonical (``den > 0`` and ``gcd(re, im, den) == 1``),
+    so equality and hashing are structural.  ``real`` and ``imag`` give the
+    parts as ``Fraction`` values.  Instances are immutable.
     """
 
-    real: Fraction
-    imag: Fraction = Fraction(0)
+    __slots__ = ("re", "im", "den")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "real", Fraction(self.real))
-        object.__setattr__(self, "imag", Fraction(self.imag))
+    def __init__(self, real: RationalLike, imag: RationalLike = 0):
+        real, imag = Fraction(real), Fraction(imag)
+        # Over the lcm of two reduced denominators the parts share no factor.
+        den = lcm(real.denominator, imag.denominator)
+        object.__setattr__(self, "re", real.numerator * (den // real.denominator))
+        object.__setattr__(self, "im", imag.numerator * (den // imag.denominator))
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def _of(cls, real: Fraction, imag: Fraction) -> GaussianRational:
-        """Wrap two ``Fraction`` values without coercing them again."""
+    def _of(cls, re: int, im: int, den: int) -> GaussianRational:
+        """The canonical instance for ``(re + im*i) / den``, ``den`` nonzero."""
+        if den < 0:
+            re, im, den = -re, -im, -den
+        g = gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
         value = object.__new__(cls)
-        object.__setattr__(value, "real", real)
-        object.__setattr__(value, "imag", imag)
+        object.__setattr__(value, "re", re)
+        object.__setattr__(value, "im", im)
+        object.__setattr__(value, "den", den)
         return value
 
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return GaussianRational._of, (self.re, self.im, self.den)
+
+    @property
+    def real(self) -> Fraction:
+        return Fraction(self.re, self.den)
+
+    @property
+    def imag(self) -> Fraction:
+        return Fraction(self.im, self.den)
+
     def is_zero(self) -> bool:
-        return not self.real and not self.imag
+        return not self.re and not self.im
 
     def is_one(self) -> bool:
-        return self.real == 1 and not self.imag
+        return self.re == self.den == 1 and not self.im
 
     def is_integer(self) -> bool:
-        return not self.imag and self.real.denominator == 1
+        return not self.im and self.den == 1
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.real, -self.imag)
+        return GaussianRational._of(self.re, -self.im, self.den)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im, self.den))
+
     def __neg__(self) -> GaussianRational:
-        return GaussianRational._of(-self.real, -self.imag)
+        return GaussianRational._of(-self.re, -self.im, self.den)
 
     def __add__(self, other: ScalarLike) -> GaussianRational:
         if not _scalar_operand(other):
             return NotImplemented
         other = to_scalar(other)
-        return GaussianRational(self.real + other.real, self.imag + other.imag)
+        a, b = self.den, other.den
+        return GaussianRational._of(self.re * b + other.re * a, self.im * b + other.im * a, a * b)
 
     __radd__ = __add__
 
@@ -86,9 +121,10 @@ class GaussianRational:
         if not _scalar_operand(other):
             return NotImplemented
         other = to_scalar(other)
-        return GaussianRational(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
+        return GaussianRational._of(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+            self.den * other.den,
         )
 
     __rmul__ = __mul__
@@ -97,11 +133,15 @@ class GaussianRational:
         if not _scalar_operand(other):
             return NotImplemented
         other = to_scalar(other)
-        norm = other.real * other.real + other.imag * other.imag
+        norm = other.re * other.re + other.im * other.im
         if not norm:
             raise ZeroDivisionError("division of Gaussian rational by zero")
-        num = self * other.conjugate()
-        return GaussianRational(num.real / norm, num.imag / norm)
+        # (a/m) / (b/n) = a * conj(b) * n / (m * |b|^2)
+        return GaussianRational._of(
+            (self.re * other.re + self.im * other.im) * other.den,
+            (self.im * other.re - self.re * other.im) * other.den,
+            self.den * norm,
+        )
 
     def __rtruediv__(self, other: ScalarLike) -> GaussianRational:
         return to_scalar(other) / self
@@ -110,7 +150,9 @@ class GaussianRational:
         return power_by_squaring(self, exponent, ONE)
 
     def __complex__(self) -> complex:
-        return complex(float(self.real), float(self.imag))
+        # int / int is correctly rounded, so each part converts to the same
+        # double as its reduced fraction would.
+        return complex(self.re / self.den, self.im / self.den)
 
     def __str__(self) -> str:
         return scalar_text(self)
@@ -154,13 +196,13 @@ def to_scalar(value: ScalarLike) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value))
+        return GaussianRational(value)
     raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
 
-ZERO = GaussianRational(Fraction(0))
-ONE = GaussianRational(Fraction(1))
-I = GaussianRational(Fraction(0), Fraction(1))
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)
 
 
 def decimal_text(n: int) -> str:
@@ -230,22 +272,11 @@ def pair_factor_text(re: int, im: int, den: int) -> str:
     return pair_text(re, im, den)
 
 
-def common_pair(value: GaussianRational) -> tuple[int, int, int]:
-    """``value`` as ``(re, im, den)`` ints over one positive denominator."""
-    re, im = value.real, value.imag
-    den = lcm(re.denominator, im.denominator)
-    return (
-        re.numerator * (den // re.denominator),
-        im.numerator * (den // im.denominator),
-        den,
-    )
-
-
 def scalar_text(value: GaussianRational) -> str:
     """Canonical decimal-free rendering: "p/q", "(p/q)i", or a sum of both."""
-    return pair_text(*common_pair(value))
+    return pair_text(value.re, value.im, value.den)
 
 
 def scalar_factor_text(value: GaussianRational) -> str:
     """Rendering safe to splice into a product: mixed values get parentheses."""
-    return pair_factor_text(*common_pair(value))
+    return pair_factor_text(value.re, value.im, value.den)

@@ -26,9 +26,7 @@ from .scalars import GaussianRational, ScalarLike, to_scalar
 def integer_difference(a: ScalarLike, b: ScalarLike) -> Optional[int]:
     """The integer a - b if that difference is one, else None.  Exact."""
     diff = to_scalar(a) - to_scalar(b)
-    if diff.imag or diff.real.denominator != 1:
-        return None
-    return int(diff.real)
+    return diff.re if diff.is_integer() else None
 
 
 def rising_factorial(start: GaussianRational, length: int) -> UniPoly:

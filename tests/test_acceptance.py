@@ -14,18 +14,13 @@ from fractions import Fraction
 import _criteria_log
 
 from gamma_ideal.cli import main as cli_main
-from gamma_ideal.ideal import (
-    decide_membership,
-    normal_form,
-    random_member,
-    random_poly,
-    random_shift_system,
-)
+from gamma_ideal.ideal import decide_membership, normal_form
 from gamma_ideal.numeric import selftest_functional_equations, verify_verdict
 from gamma_ideal.parser import parse_gamma_poly, parse_shifts
 from gamma_ideal.poly import UniPoly, euclid_divide, gamma_poly_text, highest_term
 from gamma_ideal.scalars import GaussianRational, to_scalar
 from gamma_ideal.shifts import build_shift_system, shift_apply
+from strategies import random_member, random_poly, random_shift_system
 
 
 @contextmanager

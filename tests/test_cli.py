@@ -244,6 +244,28 @@ def test_gamma_eval_json(capsys):
     assert payload["value"][0] == pytest.approx(1.7724538509055160, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "point, position",
+    [("1e400", 0), ("1e400i", 0), ("1" * 4400, 0), ("nan", 0), ("10^400", 0), (" 2^2000*i", 1)],
+    ids=["1e400", "1e400i", "4400-digit", "nan", "10^400", "2^2000i"],
+)
+def test_gamma_eval_non_finite_point_is_a_parse_error(capsys, point, position):
+    code, out, err = run(capsys, "gamma", "--eval", point)
+    assert (code, out) == (2, "")
+    assert err == f"error: not a finite complex double (at position {position})\n"
+
+
+@pytest.mark.parametrize(
+    "point, text",
+    [("172", "172"), ("1e300", "1e+300"), ("1e300i", "0+1e+300i"), ("1e300+1e300i", "1e+300+1e+300i")],
+)
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
+def test_gamma_eval_out_of_range_is_a_numeric_failure(capsys, point, text, flags):
+    code, out, err = run(capsys, "gamma", "--eval", point, *flags)
+    assert (code, out) == (1, "")
+    assert err == f"error: gamma({text}) is out of floating-point range\n"
+
+
 # -- selftest
 
 

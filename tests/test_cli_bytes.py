@@ -45,9 +45,10 @@ def digest(argv) -> str:
 
 def corpus():
     """The pinned invocations; used only to regenerate ``cli_bytes.json``."""
-    from gamma_ideal.ideal import normal_form, random_poly
+    from gamma_ideal.ideal import normal_form
     from gamma_ideal.poly import GammaPoly, gamma_poly_text
     from gamma_ideal.shifts import build_shift_system
+    from strategies import random_poly
 
     argvs = [
         ["member", "0,1,2", IDENTITY, "--certify", "--verify"],

@@ -14,14 +14,11 @@ from gamma_ideal.ideal import (
     certify,
     decide_membership,
     normal_form,
-    random_member,
-    random_poly,
-    random_shift_system,
 )
 from gamma_ideal.parser import parse_gamma_poly, parse_shifts
 from gamma_ideal.poly import GammaPoly, Monomial, UniPoly, gamma_poly_text
 from gamma_ideal.shifts import ShiftSystem, build_shift_system, shift_apply
-from strategies import system_with_polys
+from strategies import random_member, random_poly, random_shift_system, system_with_polys
 
 HALF = Fraction(1, 2)
 

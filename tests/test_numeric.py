@@ -14,13 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gamma_ideal.numeric as numeric
-from gamma_ideal.ideal import (
-    decide_membership,
-    normal_form,
-    random_member,
-    random_poly,
-    random_shift_system,
-)
+from gamma_ideal.ideal import decide_membership
 from gamma_ideal.numeric import (
     EPSILON_POLE,
     ComplexSample,
@@ -38,6 +32,7 @@ from gamma_ideal.numeric import (
 from gamma_ideal.parser import parse_gamma_poly, parse_shifts
 from gamma_ideal.poly import GammaPoly
 from gamma_ideal.shifts import build_shift_system
+from strategies import chain_member, random_member, random_poly, random_shift_system
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -295,12 +290,6 @@ def assert_same_bits(p, sys, sample_seeds=(0, 1, 7)):
         assert verify_verdict(verdict, sys, n_samples=12, seed=seed).samples == expected
         for row in expected:
             assert evaluate_poly(p, sys, row.point) == reference_evaluate(p, sys, row.point)
-
-
-def chain_member(n: int, degree: int = 4):
-    sys = build_shift_system(list(range(n)))
-    power = sum((GammaPoly.variable(n, k) for k in range(n)), GammaPoly.zero(n)) ** degree
-    return sys, power - normal_form(power, sys)
 
 
 @settings(max_examples=60, deadline=None)

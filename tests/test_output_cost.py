@@ -16,7 +16,7 @@ from gamma_ideal.numeric import verify_verdict
 from gamma_ideal.poly import GammaPoly, UniPoly, gamma_poly_text
 from gamma_ideal.scalars import GaussianRational
 from gamma_ideal.shifts import build_shift_system
-from test_certify_cost import chain_member
+from strategies import chain_member
 
 
 def independence_input(terms: int = 300, arity: int = 5):

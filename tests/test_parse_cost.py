@@ -13,6 +13,7 @@ import pytest
 
 from gamma_ideal.parser import lower_to_poly, parse_poly
 from gamma_ideal.poly import GammaPoly, UniPoly
+from test_output_cost import counter
 
 ARITY = 4
 
@@ -40,18 +41,6 @@ def flat_sum(terms: int, seed: int) -> str:
     return "".join(pieces)
 
 
-def count_calls(monkeypatch, cls, name: str) -> list:
-    calls = []
-    original = getattr(cls, name)
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(cls, name, counting)
-    return calls
-
-
 COUNTED = [
     (GammaPoly, "__init__"),
     (GammaPoly, "__mul__"),
@@ -66,7 +55,7 @@ COUNTED = [
 @pytest.mark.parametrize("terms", [400, 800])
 def test_flat_sum_lowers_without_polynomial_products(monkeypatch, terms):
     ast = parse_poly(flat_sum(terms, seed=terms), ARITY)
-    calls = {f"{cls.__name__}.{name}": count_calls(monkeypatch, cls, name) for cls, name in COUNTED}
+    calls = {f"{cls.__name__}.{name}": counter(monkeypatch, cls, name) for cls, name in COUNTED}
     p = lower_to_poly(ast, ARITY)
     assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(calls, 0)
     monkeypatch.undo()
@@ -86,6 +75,6 @@ def test_flat_sum_lowers_without_polynomial_products(monkeypatch, terms):
 )
 def test_only_parenthesised_sums_are_multiplied(monkeypatch, text, products):
     ast = parse_poly(text, ARITY)
-    calls = count_calls(monkeypatch, GammaPoly, "__mul__")
+    calls = counter(monkeypatch, GammaPoly, "__mul__")
     lower_to_poly(ast, ARITY)
     assert len(calls) == products

@@ -1,4 +1,7 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -18,6 +21,7 @@ from gamma_ideal.scalars import (
     to_scalar,
 )
 from strategies import nonzero_scalars, scalars
+from test_gammapoly import ref_scalar_text
 
 
 def test_construction_coerces_to_fractions():
@@ -148,3 +152,62 @@ def test_pair_text_prints_long_parts():
     big = 10**4400 + 1
     zeros = "0" * 4399
     assert pair_text(big, -2 * big, 3) == f"1{zeros}1/3-(2{zeros}2/3)i"
+
+
+# -- the int triple against Fraction-pair arithmetic
+
+wide_parts = st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**9))
+ref_pairs = st.tuples(wide_parts, wide_parts)
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def checked(z, expected):
+    """``z`` is canonical and equals the Fraction pair ``expected``."""
+    assert z.den > 0 and gcd(z.re, z.im, z.den) == 1
+    assert (z.real, z.imag) == expected
+
+
+@given(ref_pairs, ref_pairs, st.integers(0, 5))
+def test_arithmetic_matches_fraction_pairs(x, y, e):
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    checked(a, x)
+    checked(a + b, (x[0] + y[0], x[1] + y[1]))
+    checked(a - b, (x[0] - y[0], x[1] - y[1]))
+    checked(a * b, ref_mul(x, y))
+    checked(a**e, reduce(ref_mul, [x] * e, (1, 0)))
+    checked(a.conjugate(), (x[0], -x[1]))
+    checked(-a, (-x[0], -x[1]))
+    checked(a + 3, (x[0] + 3, x[1]))
+    checked(2 * a, (2 * x[0], 2 * x[1]))
+    if any(y):
+        norm = y[0] * y[0] + y[1] * y[1]
+        checked(a / b, tuple(part / norm for part in ref_mul(x, (y[0], -y[1]))))
+
+
+@given(ref_pairs, st.integers(-5, 5).filter(bool))
+def test_both_constructors_agree(x, scale):
+    z = GaussianRational(*x)
+    same = GaussianRational._of(z.re * scale, z.im * scale, z.den * scale)
+    checked(same, x)
+    assert (same.re, same.im, same.den) == (z.re, z.im, z.den)
+    assert same == z and hash(same) == hash(z)
+
+
+@given(ref_pairs)
+def test_text_and_complex_match_fraction_pairs(x):
+    z = GaussianRational(*x)
+    assert str(z) == ref_scalar_text(SimpleNamespace(real=x[0], imag=x[1]))
+    value, expected = complex(z), complex(float(x[0]), float(x[1]))
+    assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+
+
+def test_instances_hold_only_the_triple():
+    z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+    assert (z.re, z.im, z.den) == (2, -3, 4) and not hasattr(z, "__dict__")
+    with pytest.raises(AttributeError):
+        z.re = 1
+    with pytest.raises(AttributeError):
+        del z.den

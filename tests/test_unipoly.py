@@ -102,11 +102,6 @@ def test_euclid_divide_round_trip(num, den):
     assert not remainder or remainder.degree < den.degree
 
 
-@given(unipolys, nonzero_unipolys)
-def test_divmod_protocol(num, den):
-    assert divmod(num, den) == euclid_divide(num, den)
-
-
 # -- text
 
 
