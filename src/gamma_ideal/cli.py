@@ -12,30 +12,30 @@ Every command accepts ``--json`` for machine-readable output (sorted keys,
 stable across runs with the same seed).  Exit codes: 0 success/member,
 1 failure/non-member, 2 usage error.  The environment variable
 ``GAMMA_IDEAL_SEED`` overrides the default sampling seed.
+
+A process imports only what its command runs: the decision procedure
+(``ideal``) for ``member``, ``reduce`` and ``selftest``, the numeric oracle
+(``numeric``) for ``--verify``, ``gamma`` and ``selftest``, and ``json`` for
+``--json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .ideal import Verdict, decide_membership, normal_form
-from .numeric import (
-    PoleError,
-    SamplingError,
-    gamma_eval,
-    selftest_functional_equations,
-    verify_verdict,
-)
+from ._record import Record, setfield
 from .parser import ParseError, parse_complex, parse_gamma_poly, parse_shifts
-from .poly import GammaPoly, gamma_poly_text
-from .shifts import ShiftSystem, build_shift_system
+from .poly import gamma_poly_text
+from .shifts import build_shift_system
+
+if TYPE_CHECKING:
+    from .ideal import Verdict
+    from .poly import GammaPoly
+    from .shifts import ShiftSystem
 
 DEFAULT_SAMPLES = 20
 DEFAULT_SEED = 0
@@ -43,20 +43,45 @@ DEFAULT_TOL = 1e-8
 SEED_ENV_VAR = "GAMMA_IDEAL_SEED"
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(Record):
     """Everything a command needs, resolved from argv and the environment."""
 
-    command: str
-    shifts: str = ""
-    polynomial: str = ""
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    tol: float = DEFAULT_TOL
-    output: str = "human"  # "human" | "json"
-    certify: bool = False
-    verify: bool = False
-    eval_point: str = ""
+    __slots__ = _fields = (
+        "command",
+        "shifts",
+        "polynomial",
+        "samples",
+        "seed",
+        "tol",
+        "output",
+        "certify",
+        "verify",
+        "eval_point",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        shifts: str = "",
+        polynomial: str = "",
+        samples: int = DEFAULT_SAMPLES,
+        seed: int = DEFAULT_SEED,
+        tol: float = DEFAULT_TOL,
+        output: str = "human",  # "human" | "json"
+        certify: bool = False,
+        verify: bool = False,
+        eval_point: str = "",
+    ):
+        setfield(self, "command", command)
+        setfield(self, "shifts", shifts)
+        setfield(self, "polynomial", polynomial)
+        setfield(self, "samples", samples)
+        setfield(self, "seed", seed)
+        setfield(self, "tol", tol)
+        setfield(self, "output", output)
+        setfield(self, "certify", certify)
+        setfield(self, "verify", verify)
+        setfield(self, "eval_point", eval_point)
 
     @property
     def json_output(self) -> bool:
@@ -64,6 +89,8 @@ class CliConfig:
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
@@ -130,6 +157,8 @@ def _member_payload(
     if config.certify:
         payload["certificate"] = certificate
     if config.verify:
+        from .numeric import verify_verdict
+
         report = verify_verdict(
             verdict, sys_, n_samples=config.samples, seed=config.seed, tol=config.tol
         )
@@ -138,6 +167,8 @@ def _member_payload(
 
 
 def cmd_member(config: CliConfig) -> int:
+    from .ideal import decide_membership
+
     sys_ = _parse_system(config.shifts)
     poly = parse_gamma_poly(config.polynomial, sys_.arity)
     verdict = decide_membership(poly, sys_)
@@ -165,6 +196,8 @@ def cmd_member(config: CliConfig) -> int:
         print(f"  normal_form: {normal_text}")
         print(f"  re-expands exactly: {'yes' if cert.is_exact() else 'NO'}")
     if config.verify:
+        from .numeric import verify_verdict
+
         report = verify_verdict(
             verdict, sys_, n_samples=config.samples, seed=config.seed, tol=config.tol
         )
@@ -180,6 +213,8 @@ def cmd_member(config: CliConfig) -> int:
 
 
 def cmd_reduce(config: CliConfig) -> int:
+    from .ideal import normal_form
+
     sys_ = _parse_system(config.shifts)
     poly = parse_gamma_poly(config.polynomial, sys_.arity)
     reduced = normal_form(poly, sys_)
@@ -198,10 +233,12 @@ def cmd_reduce(config: CliConfig) -> int:
 
 
 def cmd_gamma(config: CliConfig) -> int:
+    from .numeric import gamma_eval
+
     point = parse_complex(config.eval_point)
     try:
         value = gamma_eval(point)
-        finite = cmath.isfinite(value)
+        finite = math.isfinite(value.real) and math.isfinite(value.imag)
     except OverflowError:
         finite = False
     if not finite:
@@ -222,6 +259,8 @@ def cmd_gamma(config: CliConfig) -> int:
 
 def _symbolic_selftest_checks() -> List[dict]:
     """The worked identities, decided from scratch on every run."""
+    from .ideal import decide_membership, normal_form
+
     checks: List[dict] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
@@ -263,6 +302,8 @@ def _symbolic_selftest_checks() -> List[dict]:
 
 
 def cmd_selftest(config: CliConfig) -> int:
+    from .numeric import selftest_functional_equations
+
     checks = _symbolic_selftest_checks()
     numeric_report = selftest_functional_equations(
         n_samples=config.samples if config.samples != DEFAULT_SAMPLES else 100,
@@ -415,6 +456,15 @@ _COMMANDS = {
 }
 
 
+def _numeric_errors() -> tuple:
+    """The numeric oracle's failures, which exit 1.  Before ``numeric`` is
+    imported none can have been raised, so it is looked up, not imported."""
+    numeric = sys.modules.get(f"{__package__}.numeric")
+    if numeric is None:
+        return ()
+    return numeric.PoleError, numeric.SamplingError
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -428,7 +478,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return _COMMANDS[config.command](config)
-    except (PoleError, SamplingError) as exc:
+    except _numeric_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValueError) as exc:

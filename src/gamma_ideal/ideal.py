@@ -21,15 +21,14 @@ proof whatever route produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ._record import Record, setfield
 from .poly import GammaPoly, Monomial, UniPoly, gamma_poly_text
 from .shifts import Relation, ShiftSystem
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Exact decomposition input = sum(cofactor_k * generator_k) + normal_form.
 
     The normal form contains only class-representative variables; the
@@ -37,10 +36,19 @@ class Certificate:
     zero tolerance.
     """
 
-    input: GammaPoly
-    generators: Tuple[Relation, ...]
-    cofactors: Tuple[GammaPoly, ...]
-    normal_form: GammaPoly
+    __slots__ = _fields = ("input", "generators", "cofactors", "normal_form")
+
+    def __init__(
+        self,
+        input: GammaPoly,
+        generators: Tuple[Relation, ...],
+        cofactors: Tuple[GammaPoly, ...],
+        normal_form: GammaPoly,
+    ):
+        setfield(self, "input", input)
+        setfield(self, "generators", generators)
+        setfield(self, "cofactors", cofactors)
+        setfield(self, "normal_form", normal_form)
 
     def recombined(self) -> GammaPoly:
         """Re-expand the decomposition; equals ``input`` exactly."""
@@ -74,13 +82,15 @@ NON_MEMBER_BASIS = (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a membership query, always carrying its certificate."""
 
-    is_member: bool
-    certificate: Certificate
-    theorem_basis: str
+    __slots__ = _fields = ("is_member", "certificate", "theorem_basis")
+
+    def __init__(self, is_member: bool, certificate: Certificate, theorem_basis: str):
+        setfield(self, "is_member", is_member)
+        setfield(self, "certificate", certificate)
+        setfield(self, "theorem_basis", theorem_basis)
 
     @property
     def normal_form(self) -> GammaPoly:

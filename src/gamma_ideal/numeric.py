@@ -20,13 +20,15 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ideal import Verdict
-from .poly import GammaPoly
-from .shifts import ShiftSystem
+from ._record import Record, setfield
+
+if TYPE_CHECKING:
+    from .ideal import Verdict
+    from .poly import GammaPoly
+    from .shifts import ShiftSystem
 
 LANCZOS_G = 7
 LANCZOS_COEFFICIENTS = (
@@ -53,8 +55,10 @@ class PoleError(ValueError):
         self.point = point
         self.pole = pole
         self.clearance = clearance
+        # Past 2**53 a pole is the integer value of a double: print the double.
+        pole_text = pole if abs(pole) <= 2**53 else float(pole)
         super().__init__(
-            f"point {point} is within {clearance:.3g} of the Gamma pole at {pole}"
+            f"point {point} is within {clearance:.3g} of the Gamma pole at {pole_text}"
         )
 
 
@@ -99,12 +103,14 @@ def gamma_eval(s: complex, epsilon_pole: float = EPSILON_POLE) -> complex:
     return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * series
 
 
-@dataclass(frozen=True)
-class ComplexSample:
+class ComplexSample(Record):
     """A sample point together with its distance to the nearest shifted pole."""
 
-    point: complex
-    pole_clearance: float
+    __slots__ = _fields = ("point", "pole_clearance")
+
+    def __init__(self, point: complex, pole_clearance: float):
+        setfield(self, "point", point)
+        setfield(self, "pole_clearance", pole_clearance)
 
 
 def draw_samples(
@@ -202,30 +208,55 @@ def evaluate_poly(
     return _evaluate_table(_float_table(p), gammas, complex(s))
 
 
-@dataclass(frozen=True)
-class SampleResidual:
-    point: complex
-    residual: float
-    scale: float
+class SampleResidual(Record):
+    __slots__ = _fields = ("point", "residual", "scale")
+
+    def __init__(self, point: complex, residual: float, scale: float):
+        setfield(self, "point", point)
+        setfield(self, "residual", residual)
+        setfield(self, "scale", scale)
 
     @property
     def relative(self) -> float:
         return self.residual / self.scale if self.scale > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Numeric evidence for (or against) a symbolic membership verdict."""
 
-    polynomial: GammaPoly
-    shifts: Tuple
-    member: bool
-    samples: Tuple[SampleResidual, ...]
-    max_relative_residual: float
-    verdict_consistent: bool
-    seed: int
-    tol: float
-    separation: float
+    __slots__ = _fields = (
+        "polynomial",
+        "shifts",
+        "member",
+        "samples",
+        "max_relative_residual",
+        "verdict_consistent",
+        "seed",
+        "tol",
+        "separation",
+    )
+
+    def __init__(
+        self,
+        polynomial: GammaPoly,
+        shifts: Tuple,
+        member: bool,
+        samples: Tuple[SampleResidual, ...],
+        max_relative_residual: float,
+        verdict_consistent: bool,
+        seed: int,
+        tol: float,
+        separation: float,
+    ):
+        setfield(self, "polynomial", polynomial)
+        setfield(self, "shifts", shifts)
+        setfield(self, "member", member)
+        setfield(self, "samples", samples)
+        setfield(self, "max_relative_residual", max_relative_residual)
+        setfield(self, "verdict_consistent", verdict_consistent)
+        setfield(self, "seed", seed)
+        setfield(self, "tol", tol)
+        setfield(self, "separation", separation)
 
     def as_payload(self) -> dict:
         return {
@@ -296,13 +327,17 @@ def verify_verdict(
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    samples: int
-    max_relative_error: float
-    threshold: float
-    passed: bool
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "samples", "max_relative_error", "threshold", "passed")
+
+    def __init__(
+        self, name: str, samples: int, max_relative_error: float, threshold: float, passed: bool
+    ):
+        setfield(self, "name", name)
+        setfield(self, "samples", samples)
+        setfield(self, "max_relative_error", max_relative_error)
+        setfield(self, "threshold", threshold)
+        setfield(self, "passed", passed)
 
     def as_payload(self) -> dict:
         return {
@@ -314,9 +349,11 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class SelftestReport:
-    checks: Tuple[CheckResult, ...]
+class SelftestReport(Record):
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: Tuple[CheckResult, ...]):
+        setfield(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

@@ -29,7 +29,9 @@ first unbound index in text order.
 Sums and products are left-deep chains of binary nodes, one node per
 operator, and lowering walks those chains with loops, so a flat sum of any
 length parses.  Only parentheses nest, and nesting deeper than
-``MAX_NESTING`` is a ``ParseError``.
+``MAX_NESTING`` is a ``ParseError``.  So is a ``^`` whose result would have
+a degree in ``s`` above ``MAX_S_DEGREE``, reported at the ``^`` when the
+power is lowered.
 
 Lowering folds the single-term factors of a product chain (literals, ``s``,
 ``G(k)``, their powers, and any parenthesised factor that comes out as one
@@ -43,16 +45,20 @@ that multiplying factor by factor from the left gives.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
+import math
 from typing import List, Optional, Tuple, Union
 
+from ._record import Record, setfield
 from .poly import GammaPoly, UniPoly, signed_sum
 from .scalars import I, GaussianRational, decimal_int
 
 #: Deepest parenthesis nesting accepted; parsing and lowering recurse once
 #: per level.
 MAX_NESTING = 100
+
+#: Highest degree in ``s`` that a ``^`` may produce; lowering stores a
+#: polynomial in ``s`` densely, one coefficient per power.
+MAX_S_DEGREE = 1_000_000
 
 
 class ParseError(ValueError):
@@ -68,56 +74,71 @@ class ParseError(ValueError):
 # AST
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: GaussianRational
+class Lit(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: GaussianRational):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class SVar:
-    pass
+class SVar(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GammaRef:
-    index: int
-    pos: int = field(default=-1, compare=False)
+class GammaRef(Record):
+    __slots__ = _fields = ("index", "pos")
+    _compared = ("index",)
+
+    def __init__(self, index: int, pos: int = -1):
+        setfield(self, "index", index)
+        setfield(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "ExprAst"
-    right: "ExprAst"
+class _Binary(Record):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: ExprAst, right: ExprAst):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "ExprAst"
-    right: "ExprAst"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "ExprAst"
-    right: "ExprAst"
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "ExprAst"
-    right: "ExprAst"
-    pos: int = field(default=-1, compare=False)
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprAst"
+class Div(Record):
+    __slots__ = _fields = ("left", "right", "pos")
+    _compared = ("left", "right")
+
+    def __init__(self, left: ExprAst, right: ExprAst, pos: int = -1):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+        setfield(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    exponent: int
+class Neg(Record):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: ExprAst):
+        setfield(self, "operand", operand)
+
+
+class Pow(Record):
+    __slots__ = _fields = ("base", "exponent", "pos")
+    _compared = ("base", "exponent")
+
+    def __init__(self, base: ExprAst, exponent: int, pos: int = -1):
+        setfield(self, "base", base)
+        setfield(self, "exponent", exponent)
+        setfield(self, "pos", pos)
 
 
 ExprAst = Union[Lit, SVar, GammaRef, Add, Sub, Mul, Div, Neg, Pow]
@@ -227,9 +248,10 @@ class _Parser:
 
     def parse_factor(self) -> ExprAst:
         node = self.parse_atom()
+        _, _, pos = self.peek()
         if self.accept_sym("^"):
             exponent, _ = self.expect_uint("a non-negative integer exponent")
-            node = Pow(node, exponent)
+            node = Pow(node, exponent, pos=pos)
         return node
 
     def _postfix_i(self, node: ExprAst) -> ExprAst:
@@ -377,6 +399,8 @@ def _factor_term(node: ExprAst, arity: int) -> Union[_Term, GammaPoly]:
         and isinstance(node.exponent, int)
         and node.exponent >= 0
     ):
+        if isinstance(node.base, SVar):
+            _check_s_degree(node, 1)
         node, exponent = node.base, node.exponent
     if isinstance(node, Lit):
         value = node.value if exponent == 1 else node.value**exponent
@@ -389,8 +413,17 @@ def _factor_term(node: ExprAst, arity: int) -> Union[_Term, GammaPoly]:
             raise ValueError(f"variable index {index} out of range for arity {arity}")
         return 1, 0, 1, 0, ((index, exponent),) if exponent else ()
     if isinstance(node, Pow):
-        return _single_term(lower_to_poly(node.base, arity) ** node.exponent)
+        base = lower_to_poly(node.base, arity)
+        _check_s_degree(node, max((c.degree for c in base._terms.values()), default=0))
+        return _single_term(base**node.exponent)
     return _single_term(lower_to_poly(node, arity))
+
+
+def _check_s_degree(node: Pow, base_degree: int) -> None:
+    """Reject a power whose degree in ``s`` would pass ``MAX_S_DEGREE``,
+    before it is computed."""
+    if base_degree * node.exponent > MAX_S_DEGREE:
+        raise ParseError(f"power exceeds degree {MAX_S_DEGREE} in s", node.pos)
 
 
 def _single_term(p: GammaPoly) -> Union[_Term, GammaPoly]:
@@ -468,7 +501,7 @@ def parse_complex(text: str) -> complex:
     try:
         if value is None:
             value = complex(parse_scalar(text))
-        finite = cmath.isfinite(value)
+        finite = math.isfinite(value.real) and math.isfinite(value.imag)
     except OverflowError:
         finite = False
     if not finite:

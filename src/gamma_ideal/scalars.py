@@ -13,16 +13,23 @@ length print (``decimal_text``) and parse (``decimal_int``), also past the
 interpreter's limit on ``str(int)`` and ``int(str)``.
 Floating-point complex numbers are accepted only by the numeric oracle,
 never by the symbolic core.
+
+``fractions`` is imported only when a ``Fraction`` is asked for or passed
+in: ints build scalars directly, and until ``fractions`` is imported no
+``Fraction`` operand can exist.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd, lcm
-from typing import TypeVar, Union
+from typing import TYPE_CHECKING, TypeVar, Union
 
-RationalLike = Union[int, Fraction]
-ScalarLike = Union["GaussianRational", int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RationalLike = Union[int, "Fraction"]
+ScalarLike = Union["GaussianRational", int, "Fraction"]
 
 
 class GaussianRational:
@@ -36,11 +43,18 @@ class GaussianRational:
     __slots__ = ("re", "im", "den")
 
     def __init__(self, real: RationalLike, imag: RationalLike = 0):
-        real, imag = Fraction(real), Fraction(imag)
-        # Over the lcm of two reduced denominators the parts share no factor.
-        den = lcm(real.denominator, imag.denominator)
-        object.__setattr__(self, "re", real.numerator * (den // real.denominator))
-        object.__setattr__(self, "im", imag.numerator * (den // imag.denominator))
+        if isinstance(real, int) and isinstance(imag, int):
+            re, im, den = int(real), int(imag), 1
+        else:
+            from fractions import Fraction
+
+            real, imag = Fraction(real), Fraction(imag)
+            # Over the lcm of two reduced denominators the parts share no factor.
+            den = lcm(real.denominator, imag.denominator)
+            re = real.numerator * (den // real.denominator)
+            im = imag.numerator * (den // imag.denominator)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
         object.__setattr__(self, "den", den)
 
     @classmethod
@@ -51,11 +65,7 @@ class GaussianRational:
         g = gcd(re, im, den)
         if g != 1:
             re, im, den = re // g, im // g, den // g
-        value = object.__new__(cls)
-        object.__setattr__(value, "re", re)
-        object.__setattr__(value, "im", im)
-        object.__setattr__(value, "den", den)
-        return value
+        return _raw(re, im, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -68,10 +78,14 @@ class GaussianRational:
 
     @property
     def real(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.re, self.den)
 
     @property
     def imag(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.im, self.den)
 
     def is_zero(self) -> bool:
@@ -100,19 +114,41 @@ class GaussianRational:
     def __neg__(self) -> GaussianRational:
         return GaussianRational._of(-self.re, -self.im, self.den)
 
+    def _plus(self, re: int, im: int, den: int) -> GaussianRational:
+        """self + (re + im*i)/den for a canonical triple, reduced the way
+        ``Fraction`` addition reduces.
+
+        With g the gcd of the denominators, the cofactors a/g and den/g are
+        coprime.  A prime dividing a/g and both parts of the sum over the
+        lcm would divide both parts of ``self`` too, which is canonical; the
+        same holds for den/g.  So the parts share with the lcm only what
+        they share with g, and for g == 1 nothing.
+        """
+        a = self.den
+        g = gcd(a, den)
+        if g == 1:
+            return _raw(self.re * den + re * a, self.im * den + im * a, a * den)
+        a, b = a // g, den // g
+        re = self.re * b + re * a
+        im = self.im * b + im * a
+        h = gcd(g, re, im)
+        if h != 1:
+            re, im, g = re // h, im // h, g // h
+        return _raw(re, im, a * b * g)
+
     def __add__(self, other: ScalarLike) -> GaussianRational:
         if not _scalar_operand(other):
             return NotImplemented
         other = to_scalar(other)
-        a, b = self.den, other.den
-        return GaussianRational._of(self.re * b + other.re * a, self.im * b + other.im * a, a * b)
+        return self._plus(other.re, other.im, other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> GaussianRational:
         if not _scalar_operand(other):
             return NotImplemented
-        return self + (-to_scalar(other))
+        other = to_scalar(other)
+        return self._plus(-other.re, -other.im, other.den)
 
     def __rsub__(self, other: ScalarLike) -> GaussianRational:
         return to_scalar(other) - self
@@ -161,6 +197,15 @@ class GaussianRational:
         return f"GaussianRational({self.real!r}, {self.imag!r})"
 
 
+def _raw(re: int, im: int, den: int) -> GaussianRational:
+    """Wrap a triple that is already canonical."""
+    value = object.__new__(GaussianRational)
+    object.__setattr__(value, "re", re)
+    object.__setattr__(value, "im", im)
+    object.__setattr__(value, "den", den)
+    return value
+
+
 Ring = TypeVar("Ring")
 
 
@@ -187,15 +232,22 @@ def power_by_squaring(base: Ring, exponent: int, one: Ring) -> Ring:
         base = base * base
 
 
+def _is_fraction(value: object) -> bool:
+    """Whether ``value`` is a ``Fraction``.  Looked up, not imported: before
+    ``fractions`` is imported no ``Fraction`` can exist."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
 def _scalar_operand(value: object) -> bool:
-    return isinstance(value, (GaussianRational, int, Fraction))
+    return isinstance(value, (GaussianRational, int)) or _is_fraction(value)
 
 
 def to_scalar(value: ScalarLike) -> GaussianRational:
     """Coerce an int or Fraction into the scalar field."""
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int) or _is_fraction(value):
         return GaussianRational(value)
     raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 

@@ -15,10 +15,9 @@ only singleton classes admits no nontrivial relation at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
+from ._record import Record, setfield
 from .poly import GammaPoly, UniPoly
 from .scalars import GaussianRational, ScalarLike, to_scalar
 
@@ -39,8 +38,7 @@ def rising_factorial(start: GaussianRational, length: int) -> UniPoly:
     return product
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """One rewrite rule G(target) -> multiplier(s) * G(source).
 
     ``as_poly`` is the generator polynomial G(target) - multiplier*G(source);
@@ -48,29 +46,50 @@ class Relation:
     identically.
     """
 
-    source: int
-    target: int
-    multiplier: UniPoly
-    as_poly: GammaPoly
+    __slots__ = _fields = ("source", "target", "multiplier", "as_poly")
+
+    def __init__(self, source: int, target: int, multiplier: UniPoly, as_poly: GammaPoly):
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "multiplier", multiplier)
+        setfield(self, "as_poly", as_poly)
 
     def __str__(self) -> str:
         return str(self.as_poly)
 
 
-@dataclass(frozen=True)
-class ShiftSystem:
+class ShiftSystem(Record):
     """An ordered shift tuple with its integer-difference class structure.
 
     ``classes`` lists index classes sorted by offset from the class
     representative (which therefore comes first); ``representatives`` is
     aligned with ``classes``.  Build instances with ``build_shift_system``.
     The index-to-class map and the generators are computed once, on first
-    use.
+    use, into the slots ``_class_of`` and ``_generators``; pickling and
+    copying carry them along.
     """
 
-    shifts: Tuple[GaussianRational, ...]
-    classes: Tuple[Tuple[int, ...], ...]
-    representatives: Tuple[int, ...]
+    _fields = ("shifts", "classes", "representatives")
+    _caches = ("_class_of", "_generators")
+    __slots__ = _fields + _caches
+
+    def __init__(
+        self,
+        shifts: Tuple[GaussianRational, ...],
+        classes: Tuple[Tuple[int, ...], ...],
+        representatives: Tuple[int, ...],
+    ):
+        setfield(self, "shifts", shifts)
+        setfield(self, "classes", classes)
+        setfield(self, "representatives", representatives)
+
+    def __reduce__(self):
+        filled = {name: getattr(self, name) for name in self._caches if hasattr(self, name)}
+        return (*super().__reduce__(), filled)
+
+    def __setstate__(self, filled: dict) -> None:
+        for name, value in filled.items():
+            setfield(self, name, value)
 
     @property
     def arity(self) -> int:
@@ -81,26 +100,19 @@ class ShiftSystem:
         """True when every class is a singleton: no relation exists."""
         return all(len(cls) == 1 for cls in self.classes)
 
-    @cached_property
-    def _class_of(self) -> Tuple[int, ...]:
-        """Class position of every variable index."""
-        class_of = [0] * self.arity
-        for c, cls in enumerate(self.classes):
-            for index in cls:
-                class_of[index] = c
-        return tuple(class_of)
-
-    @cached_property
-    def _generators(self) -> Tuple[Relation, ...]:
-        return tuple(
-            generating_relation(self, self.representative_of(j), j)
-            for j in self.non_representatives()
-        )
-
     def class_index_of(self, index: int) -> int:
         if not 0 <= index < self.arity:
             raise ValueError(f"variable index {index} out of range")
-        return self._class_of[index]
+        try:
+            class_of = self._class_of
+        except AttributeError:
+            class_of = [0] * self.arity
+            for c, cls in enumerate(self.classes):
+                for member in cls:
+                    class_of[member] = c
+            class_of = tuple(class_of)
+            setfield(self, "_class_of", class_of)
+        return class_of[index]
 
     def representative_of(self, index: int) -> int:
         return self.representatives[self.class_index_of(index)]
@@ -122,7 +134,15 @@ class ShiftSystem:
 
     def generators(self) -> Tuple[Relation, ...]:
         """One generating relation per non-representative index, ascending."""
-        return self._generators
+        try:
+            return self._generators
+        except AttributeError:
+            generators = tuple(
+                generating_relation(self, self.representative_of(j), j)
+                for j in self.non_representatives()
+            )
+            setfield(self, "_generators", generators)
+            return generators
 
     def shifts_text(self) -> str:
         return ", ".join(str(a) for a in self.shifts)

@@ -222,6 +222,32 @@ def test_exponents_and_indices_past_the_string_limit(capsys, text):
     assert err.startswith("error: ") and "4300" in err
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("s^100000000000000000000", 1),  # past an index-sized int
+        ("s^4611686018427387904", 1),  # 2^62: a dense list that long
+        ("G(0)*s^1000001", 6),
+        ("(s+1)^1000001", 5),
+        ("(s^2*G(0))^500001", 10),
+        ("((s^1000)^1000)^2", 15),
+    ],
+)
+def test_huge_powers_of_s_are_positioned_parse_errors(capsys, text, position):
+    code, out, err = run(capsys, "reduce", "0", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: power exceeds degree 1000000 in s (at position {position})\n"
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [("(s^1000)^1000", "s^1000000"), ("G(0)^100000000000000000000", "G(0)^100000000000000000000")],
+)
+def test_powers_up_to_the_degree_limit_lower(capsys, text, printed):
+    # the limit is on the degree in s; exponents of G(k) are not expanded
+    assert run(capsys, "reduce", "0", text) == (0, printed + "\n", "")
+
+
 # -- gamma
 
 
@@ -235,6 +261,20 @@ def test_gamma_eval_near_pole_fails(capsys):
     code, _, err = run(capsys, "gamma", "--eval", "-2")
     assert code == 1
     assert "pole" in err
+
+
+@pytest.mark.parametrize(
+    "point, printed, pole",
+    [
+        ("-2", "-2", "-2"),
+        ("-9007199254740991", "-9007199254740991", "-9007199254740991"),
+        ("-1e300", "-1e+300", "-1e+300"),
+    ],
+)
+def test_gamma_eval_poles_past_2_to_the_53_print_as_doubles(capsys, point, printed, pole):
+    code, out, err = run(capsys, "gamma", f"--eval={point}")
+    assert (code, out) == (1, "")
+    assert err == f"error: point ({printed}+0j) is within 0 of the Gamma pole at {pole}\n"
 
 
 def test_gamma_eval_json(capsys):

@@ -1,4 +1,6 @@
-"""The value types survive ``pickle`` and ``copy.deepcopy`` unchanged."""
+"""The value types survive ``pickle`` and ``copy.deepcopy`` unchanged, and
+the record types keep the equality, hashing, ``repr`` and immutability of
+frozen dataclasses."""
 
 import copy
 import pickle
@@ -6,8 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+import gamma_ideal.parser as parser
+from gamma_ideal.cli import config_from_args
 from gamma_ideal.ideal import decide_membership
-from gamma_ideal.parser import parse_gamma_poly, parse_shifts
+from gamma_ideal.numeric import verify_verdict
+from gamma_ideal.parser import (
+    Add, Div, GammaRef, Lit, Mul, Neg, Pow, SVar, Sub, parse_gamma_poly, parse_poly, parse_shifts,
+)
 from gamma_ideal.poly import UniPoly
 from gamma_ideal.scalars import GaussianRational
 from gamma_ideal.shifts import build_shift_system
@@ -15,12 +22,18 @@ from gamma_ideal.shifts import build_shift_system
 SYSTEM = build_shift_system(parse_shifts("0,1,2,1/2"))
 SYSTEM.generators()  # cached on the instance, so copied along with it
 MEMBER = parse_gamma_poly("G(0)*G(2)-G(1)^2-G(0)*G(1)", 4)
+VERDICT = decide_membership(MEMBER, SYSTEM)
+AST = parse_poly("-(1/2)i*s^3*G(0)/(2-i)+G(1)", 2)
 VALUES = [
     GaussianRational(Fraction(-3, 4), Fraction(5, 6)),
     UniPoly([GaussianRational(1, Fraction(1, 2)), 0, 3]),
     MEMBER,
     SYSTEM,
-    decide_membership(MEMBER, SYSTEM),
+    VERDICT,
+    AST,
+    SYSTEM.generators()[0],
+    verify_verdict(VERDICT, SYSTEM, n_samples=3),
+    config_from_args(["member", "--verify", "--json", "0,1", "G(1)-s*G(0)"]),
 ]
 
 
@@ -31,3 +44,48 @@ VALUES = [
 def test_round_trip(value, duplicate):
     again = duplicate(value)
     assert type(again) is type(value) and again == value and repr(again) == repr(value)
+    assert hash(again) == hash(value)
+
+
+@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+def test_copies_keep_the_cached_generators(duplicate):
+    assert duplicate(SYSTEM)._generators == SYSTEM._generators
+
+
+def test_ast_repr_evaluates_back():
+    namespace = {**vars(parser), "Fraction": Fraction}
+    assert eval(repr(AST), namespace) == AST
+    assert repr(GammaRef(1, pos=3)) == "GammaRef(index=1, pos=3)"
+
+
+def test_nodes_of_different_types_are_unequal():
+    x, y = SVar(), GammaRef(0)
+    nodes = [Add(x, y), Sub(x, y), Mul(x, y), Div(x, y), Pow(x, 2), Neg(x)]
+    for k, node in enumerate(nodes):
+        assert [other == node for other in nodes] == [j == k for j in range(len(nodes))]
+    assert Lit(GaussianRational(2)) != Pow(Lit(GaussianRational(2)), 1)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (GammaRef(1, pos=3), GammaRef(1, pos=9)),
+        (Div(SVar(), GammaRef(0), pos=1), Div(SVar(), GammaRef(0, pos=5))),
+        (Pow(SVar(), 4, pos=2), Pow(SVar(), 4)),
+    ],
+)
+def test_equality_and_hash_ignore_positions(first, second):
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) != repr(second)
+
+
+@pytest.mark.parametrize("value", VALUES[3:], ids=lambda v: type(v).__name__)
+def test_records_are_immutable(value):
+    name = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    assert not hasattr(value, "__dict__")
