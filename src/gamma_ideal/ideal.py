@@ -9,22 +9,28 @@ construction); a nonzero normal form lives on the class representatives,
 whose pairwise differences are non-integral, and no nonzero polynomial in
 those Gamma values vanishes identically.
 
-Two routes compute the normal form, each in one pass over the input's
-terms: the substitution homomorphism (``normal_form``), and a telescoping
-rewrite that also yields the cofactor certificate (``certify``).  Its
-cofactors are those of multivariate division by the generators.
-``decide_membership`` runs both and insists that they agree, that the
-normal form holds no non-representative variable, and that the certificate
-re-expands exactly to the input; together these make the certificate a
-proof whatever route produced it.
+Two routes compute the normal form: the substitution homomorphism
+(``normal_form``), one pass that maps each input term on its own, and a
+telescoping rewrite that also yields the cofactor certificate
+(``certify``), one pass per generator that sums the shares landing on one
+monomial before multiplying them.  Its cofactors are those of multivariate
+division by the generators.  ``decide_membership`` runs both and insists
+that they agree, that the normal form holds no non-representative variable,
+and that the certificate re-expands exactly to the input; together these
+make the certificate a proof whatever route produced it.  The guards raise
+``AssertionError`` explicitly, so ``python -O`` keeps them.
+
+Both routes and the re-expansion add into ``poly.TermSums``: per monomial,
+int lists over one denominator, with each coefficient made canonical once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from operator import add
+from typing import Dict, Tuple
 
 from ._record import Record, setfield
-from .poly import GammaPoly, Monomial, UniPoly, gamma_poly_text
+from .poly import GammaPoly, TermSums, UniPoly, gamma_poly_text
 from .shifts import Relation, ShiftSystem
 
 
@@ -51,11 +57,22 @@ class Certificate(Record):
         setfield(self, "normal_form", normal_form)
 
     def recombined(self) -> GammaPoly:
-        """Re-expand the decomposition; equals ``input`` exactly."""
-        total = self.normal_form
+        """Re-expand the decomposition; equals ``input`` exactly.
+
+        Every product of a cofactor term and a generator term is convolved
+        into one ``TermSums`` that starts from the normal form's terms, by
+        reference.  With no generators the normal form itself is returned.
+        """
+        if not self.generators:
+            return self.normal_form
+        total = TermSums()
+        for mono, coeff in self.normal_form.terms.items():
+            total.add(mono, coeff)
         for cofactor, relation in zip(self.cofactors, self.generators):
-            total = total + cofactor * relation.as_poly
-        return total
+            for g_mono, g_coeff in relation.as_poly.terms.items():
+                for mono, coeff in cofactor.terms.items():
+                    total.add_product(tuple(map(add, mono, g_mono)), coeff, g_coeff)
+        return GammaPoly._build(self.normal_form.arity, total.terms())
 
     def is_exact(self) -> bool:
         return self.recombined() == self.input
@@ -117,25 +134,14 @@ def _cached_power(
     return factor
 
 
-def _accumulate(terms: Dict[Monomial, UniPoly], mono: Monomial, coeff: UniPoly) -> None:
-    """Add ``coeff`` at ``mono``; a coefficient that cancels leaves the map."""
-    merged = terms.get(mono)
-    if merged is None:
-        terms[mono] = coeff
-        return
-    total = merged + coeff
-    if total:
-        terms[mono] = total
-    else:
-        del terms[mono]
-
-
 def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
     """Image of p under G(j) -> multiplier_j(s) * G(rep(j)) for non-reps j.
 
     A ring homomorphism, hence linear and multiplicative; idempotent because
-    representatives map to themselves.  Each power multiplier_j ** e is
-    computed once per call.
+    representatives map to themselves.  Each term is substituted on its own
+    and its image added into one ``TermSums``; a term with no
+    non-representative variable passes through by reference.  Each power
+    multiplier_j ** e is computed once per call.
     """
     if p.arity != sys.arity:
         raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
@@ -143,23 +149,28 @@ def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
     if not rewrites:
         return p
     powers: Dict[Tuple[int, int], UniPoly] = {}
-    accumulated: Dict[Monomial, UniPoly] = {}
+    images = TermSums()
     for mono, coeff in p.terms.items():
         image = list(mono)
-        scaled = coeff
+        factors = []
         for j, exponent in enumerate(mono):
             rel = rewrites.get(j)
             if exponent == 0 or rel is None:
                 continue
             image[j] = 0
             image[rel.source] += exponent
-            scaled = scaled * _cached_power(powers, rel, exponent)
-        _accumulate(accumulated, tuple(image), scaled)
-    return GammaPoly._build(p.arity, accumulated)
+            factors.append(_cached_power(powers, rel, exponent))
+        if not factors:
+            images.add(mono, coeff)
+            continue
+        for factor in factors[:-1]:
+            coeff = coeff * factor
+        images.add_product(tuple(image), coeff, factors[-1])
+    return GammaPoly._build(p.arity, images.terms())
 
 
 def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
-    """Cofactors and normal form of p, by telescoping each term once.
+    """Cofactors and normal form of p, eliminating one generator at a time.
 
     For a generator G(j) - m_j G(r) (r the representative of j, m_j its
     rising-factorial multiplier) and any exponent e,
@@ -169,15 +180,20 @@ def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
 
     So a term c*M with G(j)^e in M moves to c*m_j^e * M G(r)^e / G(j)^e,
     and cofactor j gains c*m_j^k * M G(r)^k / G(j)^(k+1) for k = 0..e-1.
-    Each term's non-representative variables are rewritten one after the
-    other, in ascending index order; what is left after the last one is the
-    term's share of the normal form.
+    The generators are eliminated in ascending target order, each in one
+    pass over the terms left by the one before.  A pass groups the
+    cofactor shares by (monomial, k) and the moved terms by (image, e),
+    sums each group's coefficients in a ``TermSums`` and multiplies the sum
+    once by m_j^k or m_j^e; terms free of G(j) pass through by reference.
+    What is left after the last pass is the normal form.
 
     These are the cofactors of the multivariate division by the generators
     that always eliminates the lowest-indexed non-representative of the
     highest reducible monomial: each division step depends only on the
     monomial it reduces, so division is linear in the input, and on a single
-    term it makes exactly the steps above, in the same order.
+    term it makes exactly the steps above, in the same order.  Moving a term
+    to G(r) never brings in a later generator's variable, and grouping only
+    sums what linearity would add anyway.
     """
     if p.arity != sys.arity:
         raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
@@ -185,44 +201,51 @@ def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
     if not generators:
         return Certificate(input=p, generators=generators, cofactors=(), normal_form=p)
     powers: Dict[Tuple[int, int], UniPoly] = {}
-    cofactors: List[Dict[Monomial, UniPoly]] = [{} for _ in generators]
-    reduced: Dict[Monomial, UniPoly] = {}
-    for mono, coeff in p.terms.items():
-        image = list(mono)
-        for rel, cofactor in zip(generators, cofactors):
-            j, r = rel.target, rel.source
-            exponent = image[j]
+    cofactors = []
+    terms = p.terms
+    for rel in generators:
+        j, r = rel.target, rel.source
+        left, shares, moved = TermSums(), TermSums(), TermSums()
+        for mono, coeff in terms.items():
+            exponent = mono[j]
             if exponent == 0:
+                left.add(mono, coeff)
                 continue
+            image = list(mono)
             base = image[r]
             for k in range(exponent):
                 image[j] = exponent - 1 - k
                 image[r] = base + k
-                share = coeff if k == 0 else coeff * _cached_power(powers, rel, k)
-                _accumulate(cofactor, tuple(image), share)
+                shares.add((tuple(image), k), coeff)
             image[j] = 0
             image[r] = base + exponent
-            coeff = coeff * _cached_power(powers, rel, exponent)
-        _accumulate(reduced, tuple(image), coeff)
+            moved.add((tuple(image), exponent), coeff)
+        cofactor = TermSums()
+        for (mono, k), total in shares.terms().items():
+            cofactor.add_product(mono, total, _cached_power(powers, rel, k))
+        cofactors.append(GammaPoly._build(p.arity, cofactor.terms()))
+        for (mono, exponent), total in moved.terms().items():
+            left.add_product(mono, total, _cached_power(powers, rel, exponent))
+        terms = left.terms()
     return Certificate(
         input=p,
         generators=generators,
-        cofactors=tuple(GammaPoly._build(p.arity, terms) for terms in cofactors),
-        normal_form=GammaPoly._build(p.arity, reduced),
+        cofactors=tuple(cofactors),
+        normal_form=GammaPoly._build(p.arity, terms),
     )
 
 
 def decide_membership(p: GammaPoly, sys: ShiftSystem) -> Verdict:
     """Decide whether p vanishes identically at the shifted Gamma values."""
     certificate = certify(p, sys)
+    # Raised explicitly, not asserted, so that ``python -O`` keeps the guards.
     non_representatives = sys.non_representatives()
-    assert not any(
-        mono[j] for mono in certificate.normal_form.terms for j in non_representatives
-    ), "normal form still holds a non-representative variable"
-    assert certificate.normal_form == normal_form(p, sys), (
-        "certificate and substitution normal forms disagree"
-    )
-    assert certificate.is_exact(), "certificate failed to re-expand to the input"
+    if any(mono[j] for mono in certificate.normal_form.terms for j in non_representatives):
+        raise AssertionError("normal form still holds a non-representative variable")
+    if certificate.normal_form != normal_form(p, sys):
+        raise AssertionError("certificate and substitution normal forms disagree")
+    if not certificate.is_exact():
+        raise AssertionError("certificate failed to re-expand to the input")
     member = certificate.normal_form.is_zero()
     return Verdict(
         is_member=member,

@@ -67,16 +67,14 @@ class SamplingError(RuntimeError):
 
 
 def nearest_pole(z: complex) -> Tuple[int, float]:
-    """The non-positive integer closest to z and its distance."""
-    anchor = min(0, round(z.real))
-    best_pole, best_dist = 0, abs(z)
-    for pole in (anchor - 1, anchor, anchor + 1):
-        if pole > 0:
-            continue
-        dist = abs(z - pole)
-        if dist < best_dist:
-            best_pole, best_dist = pole, dist
-    return best_pole, best_dist
+    """The non-positive integer closest to z and its distance.
+
+    That is the integer nearest the real part, or 0 for a positive one.
+    ``round`` is exact on a double, so no distances are compared: past 2**53
+    they would round to ties.  A half-integer rounds to the even neighbour.
+    """
+    pole = min(0, round(z.real))
+    return pole, abs(z - pole)
 
 
 def pole_clearance(s: complex, shifts: Sequence[complex]) -> float:

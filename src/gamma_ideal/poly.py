@@ -20,8 +20,9 @@ Two layers:
       P = sum over exponent vectors e of  coeff_e(s) * G(0)^e[0] * ... * G(n-1)^e[n-1]
 
   Zero coefficients are never stored, so structural equality of the maps is
-  polynomial equality.  Products and sums accumulate into plain dicts and
-  build the result once.
+  polynomial equality.  Sums, products and the rewrite passes of ``ideal``
+  accumulate in ``TermSums``: exact int lists per monomial, each made
+  canonical once, when the result is built.
 
 Monomials are plain exponent tuples.  They are ordered lexicographically,
 scanning from index 0: the first differing exponent decides, larger wins.
@@ -497,43 +498,13 @@ class GammaPoly:
                 self.arity, {m: c * factor for m, c in self._terms.items()}
             )
         self._check_arity(other)
-        if len(self._terms) == 1 or len(other._terms) == 1:
-            # No two products share a monomial, so none needs accumulating.
-            return GammaPoly._build(
-                self.arity,
-                {
-                    tuple(map(add, m1, m2)): c1 * c2
-                    for m1, c1 in self._terms.items()
-                    for m2, c2 in other._terms.items()
-                },
-            )
-        # Both sides over one denominator each, so that every partial sum is a
-        # pair of int lists; each coefficient is made canonical once, at the end.
-        left, left_den = _common_denominator(self._terms)
-        right, right_den = _common_denominator(other._terms)
-        out: Dict[Monomial, Tuple[List[int], List[int]]] = {}
-        for m1, a in left:
-            for m2, b in right:
-                mono = tuple(map(add, m1, m2))
-                size = len(a) + len(b) - 1
-                parts = out.get(mono)
-                if parts is None:
-                    parts = out[mono] = ([0] * size, [0] * size)
-                elif len(parts[0]) < size:
-                    grow = [0] * (size - len(parts[0]))
-                    parts[0].extend(grow)
-                    parts[1].extend(grow)
-                re, im = parts
-                _convolve_into(re, im, a, b)
-                # Drop a cancelled monomial now, so that the term order is the
-                # one that accumulating term by term gives.
-                if not any(re) and not any(im):
-                    del out[mono]
-        den = left_den * right_den
-        return GammaPoly._build(
-            self.arity,
-            {m: UniPoly._canonical(list(zip(re, im)), den) for m, (re, im) in out.items()},
-        )
+        products = TermSums()
+        add_product = products.add_product
+        right = other._terms.items()
+        for m1, c1 in self._terms.items():
+            for m2, c2 in right:
+                add_product(tuple(map(add, m1, m2)), c1, c2)
+        return GammaPoly._build(self.arity, products.terms())
 
     __rmul__ = __mul__
 
@@ -555,34 +526,99 @@ def signed_sum(arity: int, parts: Iterable[Tuple[int, GammaPoly]]) -> GammaPoly:
     appended, so value and term order are those of adding the parts pairwise
     from the left.
     """
-    merged: Dict[Monomial, UniPoly] = {}
+    merged = TermSums()
     for sign, poly in parts:
         if poly.arity != arity:
             raise ValueError(f"arity mismatch: {arity} vs {poly.arity}")
         for mono, coeff in poly._terms.items():
-            old = merged.get(mono)
-            if old is None:
-                merged[mono] = coeff if sign > 0 else -coeff
-                continue
-            total = old + coeff if sign > 0 else old - coeff
-            if total:
-                merged[mono] = total
-            else:
-                del merged[mono]
-    return GammaPoly._build(arity, merged)
+            merged.add(mono, coeff if sign > 0 else -coeff)
+    return GammaPoly._build(arity, merged.terms())
 
 
-def _common_denominator(
-    terms: Mapping[Monomial, UniPoly]
-) -> Tuple[List[Tuple[Monomial, Tuple[Pair, ...]]], int]:
-    """The terms' numerators, all rescaled to the least common denominator."""
-    den = lcm(*(c._den for c in terms.values()))
-    return [
-        (m, c._num if c._den == den else tuple(
-            (re * (den // c._den), im * (den // c._den)) for re, im in c._num
-        ))
-        for m, c in terms.items()
-    ], den
+_UNIT = ((1, 0),)
+
+
+class TermSums:
+    """An exact running sum of nonzero ``UniPoly`` coefficients per key (a
+    monomial, or any hashable group key), made canonical once, at the end.
+
+    A key holds the one coefficient added to it so far, by reference, and
+    from the second addend on a ``[re, im, den]`` entry: the parts of the sum
+    as int lists over one denominator.  An addend over a denominator that
+    does not divide the entry's rescales the entry to their least common
+    multiple; a product is convolved straight into the lists.  A key whose
+    sum cancels leaves the map and one that comes back is appended, so the
+    key order is that of adding one ``UniPoly`` at a time.  ``terms`` makes
+    each entry canonical and passes the rest through untouched.
+    """
+
+    __slots__ = ("_sums",)
+
+    def __init__(self):
+        self._sums: Dict[object, Union[UniPoly, List]] = {}
+
+    def add(self, key, coeff: UniPoly) -> None:
+        held = self._sums.get(key)
+        if held is None:
+            self._sums[key] = coeff
+            return
+        num = coeff._num
+        re, im, scale = self._open(key, held, len(num), coeff._den)
+        for d, (r, i) in enumerate(num):
+            re[d] += r * scale
+            im[d] += i * scale
+        if not any(re) and not any(im):
+            del self._sums[key]
+
+    def add_product(self, key, a: UniPoly, b: UniPoly) -> None:
+        """Add a * b at ``key``, convolved into the entry; a factor 1 is
+        left out."""
+        a_num, b_num = a._num, b._num
+        if b_num == _UNIT and b._den == 1:
+            return self.add(key, a)
+        if a_num == _UNIT and a._den == 1:
+            return self.add(key, b)
+        den = a._den * b._den
+        size = len(a_num) + len(b_num) - 1
+        held = self._sums.get(key)
+        if held is None:
+            re, im = [0] * size, [0] * size
+            _convolve_into(re, im, a_num, b_num)
+            self._sums[key] = [re, im, den]
+            return
+        re, im, scale = self._open(key, held, size, den)
+        if scale != 1:
+            a_num = [(r * scale, i * scale) for r, i in a_num]
+        _convolve_into(re, im, a_num, b_num)
+        if not any(re) and not any(im):
+            del self._sums[key]
+
+    def _open(self, key, held, size: int, den: int) -> Tuple[List[int], List[int], int]:
+        """The entry's parts, at least ``size`` long, and the factor that
+        brings an addend over ``den`` to the entry's denominator."""
+        if type(held) is UniPoly:
+            held = self._sums[key] = [
+                [r for r, _ in held._num], [i for _, i in held._num], held._den
+            ]
+        re, im, total = held
+        if len(re) < size:
+            grow = [0] * (size - len(re))
+            re.extend(grow)
+            im.extend(grow)
+        if total % den:
+            scale = den // gcd(total, den)
+            re[:] = [r * scale for r in re]
+            im[:] = [i * scale for i in im]
+            held[2] = total = total * scale
+        return re, im, total // den
+
+    def terms(self) -> Dict:
+        """Each key's sum as a canonical, nonzero ``UniPoly``."""
+        return {
+            key: held if type(held) is UniPoly
+            else UniPoly._canonical(list(zip(held[0], held[1])), held[2])
+            for key, held in self._sums.items()
+        }
 
 
 def highest_term(p: GammaPoly) -> Tuple[Monomial, UniPoly]:

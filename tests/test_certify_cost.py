@@ -1,5 +1,9 @@
-"""``certify`` makes one pass over the input's terms.
+"""``certify`` eliminates one generator at a time and multiplies each group
+of shares once.
 
+Each pass takes the terms that hold the generator's variable, sums the
+cofactor shares that land on one (monomial, k) and the moved terms that land
+on one (image, e), and multiplies each sum once by the multiplier's power.
 It never adds, subtracts or multiplies whole ``GammaPoly`` values (a
 division loop that rebuilds the remainder at every step would, and its work
 would grow as steps times terms), and it raises each rewrite multiplier to
@@ -8,6 +12,7 @@ each power at most once per call.
 
 import pytest
 
+from gamma_ideal import poly
 from gamma_ideal.ideal import certify
 from gamma_ideal.poly import GammaPoly, UniPoly
 from strategies import chain_member
@@ -41,3 +46,53 @@ def test_certify_raises_each_multiplier_to_each_power_once(monkeypatch, n):
     assert powers, "the chain member needs rewriting"
     assert {base for base, _ in powers} <= multipliers
     assert len(powers) == len(set(powers))
+
+
+def elimination_counts(p: GammaPoly, sys) -> tuple:
+    """(shares, share groups, move groups) of eliminating the generators one
+    at a time, from the monomials alone.
+
+    A share is one contribution c*m_j^k of an input term to cofactor j: each
+    term makes e_j of them for each non-representative G(j)^e_j it holds.
+    A group is a (monomial, k) or (image, e) key of one pass.  Sums that
+    cancel are not dropped here, so the group counts bound those of
+    ``certify`` from above."""
+    shares = sum(mono[rel.target] for mono in p.terms for rel in sys.generators())
+    monomials = set(p.terms)
+    share_groups = move_groups = 0
+    for rel in sys.generators():
+        j, r = rel.target, rel.source
+        shared, moved, left = set(), set(), set()
+        for mono in monomials:
+            exponent = mono[j]
+            if not exponent:
+                left.add(mono)
+                continue
+            for k in range(exponent):
+                image = list(mono)
+                image[j], image[r] = exponent - 1 - k, mono[r] + k
+                shared.add((tuple(image), k))
+            image = list(mono)
+            image[j], image[r] = 0, mono[r] + exponent
+            moved.add((tuple(image), exponent))
+            left.add(tuple(image))
+        share_groups += len(shared)
+        move_groups += len(moved)
+        monomials = left
+    return shares, share_groups, move_groups
+
+
+def test_certify_multiplies_once_per_group_not_once_per_share(monkeypatch):
+    sys, member = chain_member(8)
+    shares, share_groups, move_groups = elimination_counts(member, sys)
+    products = []
+    convolve = poly._convolve_into
+
+    def counting(*args):
+        products.append(args)
+        convolve(*args)
+
+    # Every coefficient product, powers of the multipliers included.
+    monkeypatch.setattr(poly, "_convolve_into", counting)
+    certify(member, sys)
+    assert 0 < len(products) <= share_groups + move_groups < shares

@@ -268,6 +268,7 @@ def test_gamma_eval_near_pole_fails(capsys):
     [
         ("-2", "-2", "-2"),
         ("-9007199254740991", "-9007199254740991", "-9007199254740991"),
+        ("-9007199254740992", "-9007199254740992", "-9007199254740992"),
         ("-1e300", "-1e+300", "-1e+300"),
     ],
 )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gamma_ideal.poly import (
     GammaPoly,
+    TermSums,
     UniPoly,
     gamma_poly_text,
     height,
@@ -21,6 +22,7 @@ from gamma_ideal.poly import (
     lex_compare,
     monomial_degree,
     monomial_mul,
+    signed_sum,
     unipoly_text,
 )
 from gamma_ideal.scalars import GaussianRational, scalar_text
@@ -188,6 +190,87 @@ def test_mixed_arity_is_rejected():
 @given(gamma_polys(2))
 def test_pow_matches_repeated_product(p):
     assert p**2 == p * p
+
+
+def storage(p: GammaPoly):
+    return [(mono, coeff._num, coeff._den) for mono, coeff in p.terms.items()]
+
+
+def added_one_by_one(terms) -> list:
+    """The storage of adding ``(monomial, coefficient)`` pairs in turn: a
+    monomial whose sum cancels leaves, one that comes back is appended."""
+    merged = {}
+    for mono, coeff in terms:
+        total = merged.get(mono, UniPoly.zero()) + coeff
+        if total:
+            merged[mono] = total
+        else:
+            merged.pop(mono, None)
+    return [(mono, coeff._num, coeff._den) for mono, coeff in merged.items()]
+
+
+# The numeric oracle sums an input's terms in stored order, so the parser's
+# sums and products fix the ``--verify`` bytes through it.
+
+
+@given(gamma_polys(2, max_terms=6), gamma_polys(2, max_terms=6))
+def test_product_keeps_the_term_order_of_adding_term_by_term(p, q):
+    assert storage(p * q) == added_one_by_one(
+        (monomial_mul(m1, m2), c1 * c2)
+        for m1, c1 in p.terms.items()
+        for m2, c2 in q.terms.items()
+    )
+
+
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), gamma_polys(2, max_terms=4)), max_size=4))
+def test_signed_sum_keeps_the_term_order_of_adding_term_by_term(parts):
+    assert storage(signed_sum(2, parts)) == added_one_by_one(
+        (mono, coeff if sign > 0 else -coeff)
+        for sign, poly in parts
+        for mono, coeff in poly.terms.items()
+    )
+
+
+# -- exact running sums
+
+
+def test_term_sums_over_mixed_denominators_are_canonical():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    a = UniPoly([third, GaussianRational(0, half)])
+    b = UniPoly([Fraction(1, 6), Fraction(5, 4)])
+    c, d = UniPoly([Fraction(2, 5)]), UniPoly([1, Fraction(1, 7)])
+    sums = TermSums()
+    sums.add("k", a)
+    sums.add("k", b)
+    sums.add_product("k", c, d)
+    sums.add_product("k", d, UniPoly([-1, half]))
+    (total,) = sums.terms().values()
+    expected = a + b + c * d + d * UniPoly([-1, half])
+    assert (total._num, total._den) == (expected._num, expected._den)
+    reference = UniPoly(expected.coeffs)
+    assert (total._num, total._den) == (reference._num, reference._den)
+
+
+def test_term_sums_keep_a_single_addend_by_reference():
+    a, b = UniPoly([1, 2]), UniPoly([Fraction(1, 3)])
+    sums = TermSums()
+    sums.add("a", a)
+    sums.add_product("b", b, UniPoly.one())
+    terms = sums.terms()
+    assert terms["a"] is a and terms["b"] is b
+
+
+def test_a_cancelled_key_leaves_and_comes_back_last():
+    a, b = UniPoly([1, Fraction(1, 2)]), UniPoly([3])
+    sums = TermSums()
+    sums.add("first", a)
+    sums.add("second", b)
+    sums.add_product("first", a, UniPoly([-1]))
+    assert list(sums.terms()) == ["second"]
+    sums.add("first", a)
+    sums.add("second", -b)
+    assert list(sums.terms()) == ["first"]
+    assert sums.terms()["first"] == a
 
 
 # -- text

@@ -1,7 +1,12 @@
 """Decision procedure: normal forms, certificates, membership verdicts."""
 
+import inspect
+import os
 import random
+import subprocess
 from fractions import Fraction
+from pathlib import Path
+from sys import executable as PYTHON
 from typing import List, Optional
 
 import pytest
@@ -17,6 +22,7 @@ from gamma_ideal.ideal import (
 )
 from gamma_ideal.parser import parse_gamma_poly, parse_shifts
 from gamma_ideal.poly import GammaPoly, Monomial, UniPoly, gamma_poly_text
+from gamma_ideal.scalars import GaussianRational
 from gamma_ideal.shifts import ShiftSystem, build_shift_system, shift_apply
 from strategies import random_member, random_poly, random_shift_system, system_with_polys
 
@@ -239,6 +245,55 @@ def test_certify_is_linear_cofactor_wise(seed):
     assert whole.normal_form == left.normal_form + right.normal_form
 
 
+# Multipliers s+1/3, s+(1+i)/2 and (s+2/5)(s+7/5): denominators 3, 2 and 25.
+MIXED_DENOMINATORS = build_shift_system(parse_shifts("1/3, 4/3, (1+i)/2, (3+i)/2, 2/5, 12/5"))
+
+
+def mixed_input(rng: random.Random) -> GammaPoly:
+    """A member, a member plus noise or noise alone, with rational and
+    Gaussian coefficients over denominators 1 to 7."""
+    arity = MIXED_DENOMINATORS.arity
+
+    def part() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 6, 7)))
+
+    def coeff() -> UniPoly:
+        return UniPoly(
+            [GaussianRational(part(), part() if rng.random() < 0.5 else 0)]
+            + [part() for _ in range(rng.randint(0, 2))]
+        )
+
+    def monomial() -> Monomial:
+        return tuple(rng.randint(0, 2) for _ in range(arity))
+
+    noise = GammaPoly(arity, {monomial(): coeff() for _ in range(rng.randint(1, 5))})
+    member = GammaPoly.zero(arity)
+    for rel in MIXED_DENOMINATORS.generators():
+        member = member + GammaPoly(arity, {monomial(): coeff()}) * rel.as_poly
+    return rng.choice((member, member + noise, noise))
+
+
+def assert_canonical(p: GammaPoly) -> None:
+    for coeff in p.terms.values():
+        reference = UniPoly(coeff.coeffs)
+        assert (coeff._num, coeff._den) == (reference._num, reference._den)
+
+
+@given(seeds)
+@settings(deadline=None)
+def test_certify_over_mixed_denominators(seed):
+    sys = MIXED_DENOMINATORS
+    p = mixed_input(random.Random(seed))
+    cert = certify(p, sys)
+    assert_same_certificate(cert, division_certify(p, sys))
+    recombined = cert.recombined()
+    assert recombined == p
+    # Equal term maps are equal polynomials only if every coefficient is
+    # stored canonically.
+    for poly in (cert.normal_form, normal_form(p, sys), recombined, *cert.cofactors):
+        assert_canonical(poly)
+
+
 def test_two_class_certificate_by_hand():
     # G(1) - s*G(0) and G(3) - (s+1/2)*G(2): G(1)^2 goes first, through
     # G(1)^2 - (s G(0))^2 = (G(1) - s G(0)) * (G(1) + s G(0)), then G(3).
@@ -264,6 +319,7 @@ def test_certify_without_generators_returns_the_input():
     cert = certify(p, sys)
     assert cert.cofactors == ()
     assert cert.normal_form is p
+    assert cert.recombined() is p
 
 
 def leak_non_representatives(p: GammaPoly, sys: ShiftSystem) -> Certificate:
@@ -291,6 +347,69 @@ def test_guard_fires_even_when_both_routes_leak_alike(monkeypatch):
     monkeypatch.setattr(ideal, "normal_form", lambda p, sys: p)
     with pytest.raises(AssertionError, match="non-representative"):
         decide_membership(parse_gamma_poly("G(2)", 3), chain_system())
+
+
+def drop_cofactors(p: GammaPoly, sys: ShiftSystem) -> Certificate:
+    """A broken certify: the right normal form, but no cofactors, so the
+    certificate re-expands to the normal form alone."""
+    return Certificate(
+        input=p,
+        generators=sys.generators(),
+        cofactors=tuple(GammaPoly.zero(sys.arity) for _ in sys.generators()),
+        normal_form=normal_form(p, sys),
+    )
+
+
+#: Breaks each guarded step in turn under ``python -O`` and prints what
+#: ``decide_membership`` raises; ``GUARDED_STEPS`` follows it.
+OPTIMISED_PROBE = """
+import sys
+from gamma_ideal import ideal
+from gamma_ideal.ideal import Certificate, decide_membership, normal_form
+from gamma_ideal.parser import parse_gamma_poly
+from gamma_ideal.poly import GammaPoly
+from gamma_ideal.shifts import ShiftSystem, build_shift_system
+
+if not sys.flags.optimize:
+    sys.exit("not optimised")
+{leak}
+{drop}
+real_certify, real_normal_form = ideal.certify, ideal.normal_form
+for name, value, text in [
+    ("certify", leak_non_representatives, "G(1)-G(0)"),
+    ("normal_form", lambda p, sys: GammaPoly.zero(sys.arity), "G(0)"),
+    ("certify", drop_cofactors, "G(1)-s*G(0)"),
+]:
+    setattr(ideal, name, value)
+    try:
+        decide_membership(parse_gamma_poly(text, 2), build_shift_system([0, 1]))
+    except AssertionError as error:
+        print(error)
+    else:
+        print("passed")
+    ideal.certify, ideal.normal_form = real_certify, real_normal_form
+"""
+
+GUARDED_STEPS = [
+    "normal form still holds a non-representative variable",
+    "certificate and substitution normal forms disagree",
+    "certificate failed to re-expand to the input",
+]
+
+
+def test_guards_hold_under_python_optimisation():
+    # ``python -O`` strips ``assert`` statements; the guards must not be ones.
+    probe = OPTIMISED_PROBE.format(
+        leak=inspect.getsource(leak_non_representatives),
+        drop=inspect.getsource(drop_cofactors),
+    )
+    src = Path(ideal.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [PYTHON, "-O", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == GUARDED_STEPS
 
 
 # -- verdicts

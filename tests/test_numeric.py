@@ -100,6 +100,13 @@ def test_near_pole_in_the_complex_direction():
         (complex(-1.6, 0), -2, pytest.approx(0.4)),
         (complex(3, 4), 0, 5.0),
         (complex(-2, 1), -2, 1.0),
+        # A half-integer is as far from both neighbours; the even one is named.
+        (complex(-1.5, 0), -2, 0.5),
+        (complex(-0.5, 0), 0, 0.5),
+        # Past 2**53 the neighbours' distances round to ties with the point's.
+        (complex(-(2**53), 0), -(2**53), 0.0),
+        (complex(-(2**53) - 2, 0), -(2**53) - 2, 0.0),
+        (complex(-(2**60), 0), -(2**60), 0.0),
     ],
 )
 def test_nearest_pole(z, pole, dist):
