@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ._record import Record, setfield
 from .parser import ParseError, parse_complex, parse_gamma_poly, parse_shifts
-from .poly import gamma_poly_text
+from .poly import gamma_poly_text, input_and_normal_text
 from .shifts import build_shift_system
 
 if TYPE_CHECKING:
@@ -145,7 +145,7 @@ def _member_payload(
         certificate = verdict.certificate.as_payload()
         poly_text, normal_text = certificate["input"], certificate["normal_form"]
     else:
-        poly_text, normal_text = gamma_poly_text(poly), gamma_poly_text(verdict.normal_form)
+        poly_text, normal_text = input_and_normal_text(poly, verdict.normal_form)
     payload = {
         "command": "member",
         "shifts": [str(a) for a in sys_.shifts],
@@ -219,12 +219,13 @@ def cmd_reduce(config: CliConfig) -> int:
     poly = parse_gamma_poly(config.polynomial, sys_.arity)
     reduced = normal_form(poly, sys_)
     if config.json_output:
+        poly_text, normal_text = input_and_normal_text(poly, reduced)
         _emit_json(
             {
                 "command": "reduce",
                 "shifts": [str(a) for a in sys_.shifts],
-                "polynomial": gamma_poly_text(poly),
-                "normal_form": gamma_poly_text(reduced),
+                "polynomial": poly_text,
+                "normal_form": normal_text,
             }
         )
     else:

@@ -30,7 +30,7 @@ from operator import add
 from typing import Dict, Tuple
 
 from ._record import Record, setfield
-from .poly import GammaPoly, TermSums, UniPoly, gamma_poly_text
+from .poly import GammaPoly, TermSums, UniPoly, gamma_poly_text, input_and_normal_text
 from .shifts import Relation, ShiftSystem
 
 
@@ -79,11 +79,12 @@ class Certificate(Record):
 
     def as_payload(self) -> dict:
         """Canonical-text form for JSON output."""
+        input_text, normal_text = input_and_normal_text(self.input, self.normal_form)
         return {
-            "input": gamma_poly_text(self.input),
+            "input": input_text,
             "generators": [gamma_poly_text(r.as_poly) for r in self.generators],
             "cofactors": [gamma_poly_text(c) for c in self.cofactors],
-            "normal_form": gamma_poly_text(self.normal_form),
+            "normal_form": normal_text,
         }
 
 

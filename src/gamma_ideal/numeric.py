@@ -8,11 +8,13 @@ Members must stay below tolerance at every sample; a non-member only has to
 exceed the separation threshold somewhere, since isolated near-zeros of a
 nonzero function are expected.
 
-A polynomial is turned into one float table per call: per term, its
-coefficients as complex doubles and its Gamma factors.  Each sample then
-evaluates Gamma once per shift and each Gamma power once, and runs the same
-operations in the same order as evaluating term by term from the exact
-coefficients, so the residuals and scales are the same bits.
+The oracle runs over all samples at once.  Gamma is evaluated once per shift,
+in one pass over the sample vector; a polynomial is turned into one float
+table per call (per term, its coefficients as complex doubles and its Gamma
+factors), and one kernel pass runs each term over the whole vector.  Every
+step maps one operation over the points, so each point goes through the same
+operations in the same order as evaluating it alone, term by term from the
+exact coefficients, and the residuals and scales are the same bits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from itertools import compress
+from itertools import compress, repeat
+from operator import add, mul, neg, sub, truediv
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._record import Record, setfield
@@ -72,7 +75,10 @@ def nearest_pole(z: complex) -> Tuple[int, float]:
     That is the integer nearest the real part, or 0 for a positive one.
     ``round`` is exact on a double, so no distances are compared: past 2**53
     they would round to ties.  A half-integer rounds to the even neighbour.
+    A non-finite point has no nearest pole and raises ``ValueError``.
     """
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {z} is not finite")
     pole = min(0, round(z.real))
     return pole, abs(z - pole)
 
@@ -84,21 +90,40 @@ def pole_clearance(s: complex, shifts: Sequence[complex]) -> float:
     return min(nearest_pole(s + complex(a))[1] for a in shifts)
 
 
+def gamma_values(
+    points: Iterable[complex], epsilon_pole: float = EPSILON_POLE
+) -> List[complex]:
+    """Gamma at every point, to about 1e-13 relative accuracy away from the
+    poles.  Each step maps one operation over all points, so a point's value
+    does not depend on the others."""
+    points = list(map(complex, points))
+    for z, (pole, clearance) in zip(points, map(nearest_pole, points)):
+        if clearance < epsilon_pole:
+            raise PoleError(z, pole, clearance)
+    reflect = [z.real < 0.5 for z in points]
+    sines = list(map(cmath.sin, map(mul, repeat(math.pi), compress(points, reflect))))
+    if sines:
+        points = [1 - z if left else z for z, left in zip(points, reflect)]
+    zs = list(map(sub, points, repeat(1)))
+    coefficients = LANCZOS_COEFFICIENTS
+    series = repeat(coefficients[0], len(zs))
+    for k, coefficient in enumerate(coefficients[1:], start=1):
+        series = map(add, series, map(truediv, repeat(coefficient), map(add, zs, repeat(k))))
+    ts = list(map(add, map(add, zs, repeat(LANCZOS_G)), repeat(0.5)))
+    # sqrt(2 pi) * t ** (z + 1/2) * exp(-t) * series, left to right.  The maps
+    # are consumed one point at a time, so the first point to overflow raises.
+    powers = map(pow, ts, map(add, zs, repeat(0.5)))
+    scaled = map(mul, map(mul, repeat(math.sqrt(2 * math.pi)), powers), map(cmath.exp, map(neg, ts)))
+    values = list(map(mul, scaled, series))
+    if sines:
+        reflected = map(truediv, repeat(math.pi), map(mul, sines, compress(values, reflect)))
+        values = [next(reflected) if left else g for g, left in zip(values, reflect)]
+    return values
+
+
 def gamma_eval(s: complex, epsilon_pole: float = EPSILON_POLE) -> complex:
     """Gamma(s) to about 1e-13 relative accuracy away from the poles."""
-    s = complex(s)
-    pole, clearance = nearest_pole(s)
-    if clearance < epsilon_pole:
-        raise PoleError(s, pole, clearance)
-    if s.real < 0.5:
-        # Reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s).
-        return math.pi / (cmath.sin(math.pi * s) * gamma_eval(1 - s, epsilon_pole))
-    z = s - 1
-    series = LANCZOS_COEFFICIENTS[0]
-    for k, coefficient in enumerate(LANCZOS_COEFFICIENTS[1:], start=1):
-        series += coefficient / (z + k)
-    t = z + LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * series
+    return gamma_values([s], epsilon_pole)[0]
 
 
 class ComplexSample(Record):
@@ -152,38 +177,52 @@ def _float_table(p: GammaPoly) -> FloatTable:
     ]
 
 
-def _shift_gammas(
-    p: GammaPoly, sys: ShiftSystem, shifts: Iterable[complex], s: complex
-) -> List[complex]:
-    """Gamma(s + a) for every shift a, once the arities are checked."""
-    if p.arity != sys.arity:
-        raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
-    return [gamma_eval(s + a) for a in shifts]
+def _evaluate_terms(
+    table: FloatTable, gammas: Sequence[Sequence[complex]], points: Sequence[complex]
+) -> Tuple[List[complex], List[float]]:
+    """Values and cancellation scales of a float table at every point, given
+    ``gammas[k][i]``, the Gamma value of shift k at point i.
 
-
-def _evaluate_table(
-    table: FloatTable, gammas: Sequence[complex], s: complex
-) -> Tuple[complex, float]:
-    """Value and cancellation scale of a float table at one point, given the
-    Gamma value of every shift there.  Each Gamma power is computed on first
-    use, so an overflow is raised at the term where evaluating term by term
-    raises it."""
-    powers: Dict[Tuple[int, int], complex] = {}
-    value = 0j
-    scale = 0.0
+    Each term runs over all points at once: a Horner pass from its leading
+    coefficient (``0j * s + c`` is ``c`` up to the sign of a zero part, which
+    no absolute value sees), its Gamma factors in index order, each
+    ``Gamma ** e`` computed on first use, then a sum into the values and
+    scales in term order: per point, the operations of evaluating it alone."""
+    n = len(points)
+    values = [0j] * n
+    scales = [0.0] * n
+    powers: Dict[Tuple[int, int], List[complex]] = {}
     for coeffs, factors in table:
-        term = 0j
-        for c in coeffs:
-            term = term * s + c
+        terms = repeat(coeffs[0], n)
+        for c in coeffs[1:]:
+            terms = map(add, map(mul, terms, points), repeat(c))
         for factor in factors:
             power = powers.get(factor)
             if power is None:
                 k, e = factor
-                power = powers[factor] = gammas[k] ** e
-            term *= power
-        value += term
-        scale += abs(term)
-    return value, scale
+                power = powers[factor] = list(map(pow, gammas[k], repeat(e)))
+            terms = map(mul, terms, power)
+        terms = list(terms)
+        values = list(map(add, values, terms))
+        scales = list(map(add, scales, map(abs, terms)))
+    return values, scales
+
+
+def _evaluate(
+    p: GammaPoly, sys: ShiftSystem, points: List[complex], epsilon_pole: float
+) -> Tuple[List[complex], List[float]]:
+    """Values and cancellation scales of p at every point: one Gamma pass
+    per shift over all points, one float table and one kernel pass."""
+    if not points:
+        # No point, no evaluation: not even the arities are compared.
+        return [], []
+    if p.arity != sys.arity:
+        raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
+    gammas = [
+        gamma_values(list(map(add, points, repeat(a))), epsilon_pole)
+        for a in map(complex, sys.shifts)
+    ]
+    return _evaluate_terms(_float_table(p), gammas, points)
 
 
 def evaluate_poly(
@@ -195,15 +234,12 @@ def evaluate_poly(
     evaluated terms; an identity cancels against it, so value/scale is the
     meaningful relative residual.
 
-    The polynomial is turned into one float table (``UniPoly.complex_coeffs``
-    per term) and evaluated by the kernel ``verify_verdict`` runs per sample:
-    Gamma once per shift, each ``Gamma ** e`` once, then per term a Horner
-    pass from ``0j`` and the Gamma factors in index order, summed in term
-    order.  Every operation and its order is fixed, so both give the same
-    bits.
+    This is the oracle of ``verify_verdict`` run on one point: one Gamma
+    pass per shift, one float table and one kernel pass, so both give the
+    same bits.
     """
-    gammas = _shift_gammas(p, sys, map(complex, sys.shifts), s)
-    return _evaluate_table(_float_table(p), gammas, complex(s))
+    values, scales = _evaluate(p, sys, [complex(s)], EPSILON_POLE)
+    return values[0], scales[0]
 
 
 class SampleResidual(Record):
@@ -295,18 +331,9 @@ def verify_verdict(
     if separation is None:
         separation = tol
     p = verdict.certificate.input
-    points = draw_samples(sys, n_samples, seed, epsilon_pole)
-    shifts = [complex(a) for a in sys.shifts]
-    table = None
-    rows: List[SampleResidual] = []
-    for sample in points:
-        gammas = _shift_gammas(p, sys, shifts, sample.point)
-        if table is None:
-            # Built after the first Gamma values, so errors come in the
-            # order that evaluating sample by sample raises them.
-            table = _float_table(p)
-        value, scale = _evaluate_table(table, gammas, sample.point)
-        rows.append(SampleResidual(sample.point, abs(value), scale))
+    points = [sample.point for sample in draw_samples(sys, n_samples, seed, epsilon_pole)]
+    values, scales = _evaluate(p, sys, points, epsilon_pole)
+    rows = list(map(SampleResidual, points, map(abs, values), scales))
     max_relative = max((row.relative for row in rows), default=0.0)
     if verdict.is_member:
         consistent = all(row.relative < tol for row in rows)
@@ -393,19 +420,19 @@ def selftest_functional_equations(
     checks: List[CheckResult] = []
 
     worst = 0.0
-    for s in points:
-        lhs = gamma_eval(s + 1)
-        worst = max(worst, abs(lhs - s * gamma_eval(s)) / abs(lhs))
+    for s, lhs, g in zip(points, gamma_values(map(add, points, repeat(1))), gamma_values(points)):
+        worst = max(worst, abs(lhs - s * g) / abs(lhs))
     checks.append(CheckResult("recurrence", len(points), worst, 1e-10, worst < 1e-10))
 
     mult_points = points[: max(1, min(50, len(points)))]
     for n in (2, 3):
         worst = 0.0
-        for s in mult_points:
-            lhs = gamma_eval(n * s)
+        lhs_values = gamma_values(map(mul, repeat(n), mult_points))
+        factors = zip(*(gamma_values(map(add, mult_points, repeat(j / n))) for j in range(n)))
+        for s, lhs, gammas in zip(mult_points, lhs_values, factors):
             rhs = n ** (n * s - 0.5) * (2 * math.pi) ** ((1 - n) / 2)
-            for j in range(n):
-                rhs *= gamma_eval(s + j / n)
+            for g in gammas:
+                rhs *= g
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
         checks.append(
             CheckResult(
@@ -415,9 +442,9 @@ def selftest_functional_equations(
 
     worst = 0.0
     strip = [complex(rng.uniform(0.55, 0.95), rng.uniform(-2.0, 2.0)) for _ in points]
-    for s in strip:
-        direct = gamma_eval(s)
-        reflected = math.pi / (cmath.sin(math.pi * s) * gamma_eval(1 - s))
+    mirrored = gamma_values(map(sub, repeat(1), strip))
+    for s, direct, g in zip(strip, gamma_values(strip), mirrored):
+        reflected = math.pi / (cmath.sin(math.pi * s) * g)
         worst = max(worst, abs(direct - reflected) / abs(direct))
     checks.append(CheckResult("reflection", len(strip), worst, 1e-10, worst < 1e-10))
 
@@ -426,9 +453,9 @@ def selftest_functional_equations(
     checks.append(CheckResult("gamma_half_squared", 1, err, 1e-12, err < 1e-12))
 
     worst = 0.0
-    for k in range(1, 11):
+    for k, value in enumerate(gamma_values(range(1, 11)), start=1):
         exact = float(math.factorial(k - 1))
-        worst = max(worst, abs(gamma_eval(complex(k)) - exact) / exact)
+        worst = max(worst, abs(value - exact) / exact)
     checks.append(CheckResult("integer_factorials", 10, worst, 1e-12, worst < 1e-12))
 
     return SelftestReport(tuple(checks))

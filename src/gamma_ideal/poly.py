@@ -706,3 +706,10 @@ def _term_text(mono: Monomial, coeff: UniPoly) -> Tuple[bool, str]:
 
 def gamma_poly_text(p: GammaPoly) -> str:
     return _joined(_term_text(mono, coeff) for mono, coeff in p.sorted_terms())
+
+
+def input_and_normal_text(p: GammaPoly, normal: GammaPoly) -> Tuple[str, str]:
+    """The texts of a polynomial and of its normal form.  With no generator
+    to apply the normal form is the polynomial itself, rendered once."""
+    text = gamma_poly_text(p)
+    return text, text if normal is p else gamma_poly_text(normal)

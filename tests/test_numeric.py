@@ -4,6 +4,7 @@ mpmath is the independent reference: our Lanczos evaluation must agree with
 it to well below every advertised tolerance.
 """
 
+import cmath
 import json
 import math
 import random
@@ -17,6 +18,8 @@ import gamma_ideal.numeric as numeric
 from gamma_ideal.ideal import decide_membership
 from gamma_ideal.numeric import (
     EPSILON_POLE,
+    LANCZOS_COEFFICIENTS,
+    LANCZOS_G,
     ComplexSample,
     PoleError,
     SampleResidual,
@@ -24,6 +27,7 @@ from gamma_ideal.numeric import (
     draw_samples,
     evaluate_poly,
     gamma_eval,
+    gamma_values,
     nearest_pole,
     pole_clearance,
     selftest_functional_equations,
@@ -88,6 +92,98 @@ def test_pole_rejection(bad):
 def test_near_pole_in_the_complex_direction():
     with pytest.raises(PoleError):
         gamma_eval(complex(-3, 1e-5))
+
+
+@pytest.mark.parametrize(
+    "point",
+    [complex("nan"), complex("inf"), complex("-inf"), complex(1, math.nan), complex(2, -math.inf)],
+    ids=str,
+)
+def test_a_non_finite_point_is_named(point):
+    for function in (nearest_pole, gamma_eval):
+        with pytest.raises(ValueError) as err:
+            function(point)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"point {point} is not finite"
+
+
+# -- the vector pass against the scalar Lanczos evaluation
+
+
+def reference_gamma(s: complex, epsilon_pole: float = EPSILON_POLE) -> complex:
+    """The scalar evaluation that ``gamma_values`` replaced, verbatim."""
+    s = complex(s)
+    pole, clearance = nearest_pole(s)
+    if clearance < epsilon_pole:
+        raise PoleError(s, pole, clearance)
+    if s.real < 0.5:
+        # Reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s).
+        return math.pi / (cmath.sin(math.pi * s) * reference_gamma(1 - s, epsilon_pole))
+    z = s - 1
+    series = LANCZOS_COEFFICIENTS[0]
+    for k, coefficient in enumerate(LANCZOS_COEFFICIENTS[1:], start=1):
+        series += coefficient / (z + k)
+    t = z + LANCZOS_G + 0.5
+    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * series
+
+
+def bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+def bit_identity_points() -> list:
+    """Both half-planes, the reflection boundary, points just clear of a
+    pole in every direction, and real parts up to 140."""
+    rng = random.Random(11)
+    points = [complex(rng.uniform(-30, 30), rng.uniform(-20, 20)) for _ in range(400)]
+    points += [complex(rng.uniform(-3, 5), rng.uniform(-3, 3)) for _ in range(400)]
+    points += [complex(rng.uniform(100, 140), rng.uniform(-5, 5)) for _ in range(100)]
+    points += [complex(x, y) for x in (0.5, 0.5 - 2**-52, 0.5 + 2**-52, 140.0) for y in (0.0, -1.5, 2.0)]
+    for pole in range(0, -12, -1):
+        for angle in range(0, 360, 30):
+            step = cmath.rect(EPSILON_POLE * 1.0001, math.radians(angle))
+            points.append(pole + step)
+    return points
+
+
+def test_vector_pass_matches_the_scalar_lanczos_bit_for_bit():
+    points = bit_identity_points()
+    expected = [bits(reference_gamma(z)) for z in points]
+    assert [bits(gamma_eval(z)) for z in points] == expected
+    assert list(map(bits, gamma_values(points))) == expected
+    # A point's value does not depend on its neighbours in the vector.
+    assert list(map(bits, gamma_values(points[::-1]))) == expected[::-1]
+
+
+def test_vector_pass_matches_the_scalar_lanczos_at_a_smaller_epsilon():
+    epsilon = 1e-9
+    points = [pole + cmath.rect(epsilon * 1.01, math.radians(a)) for pole in (0, -3) for a in (0, 90, 200)]
+    expected = [bits(reference_gamma(z, epsilon)) for z in points]
+    assert list(map(bits, gamma_values(points, epsilon))) == expected
+    with pytest.raises(PoleError):
+        gamma_values(points)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        complex(146, 0.5),  # t ** (z + 1/2) overflows from a real part of about 145
+        complex(171, 0.5),
+        complex(1e300, 0.5),
+        complex(-150.5, 0.5),  # the reflected Gamma(151.5) overflows
+        complex(-0.5, 300),  # sin(pi s) overflows in the reflection
+    ],
+    ids=str,
+)
+def test_overflows_as_the_scalar_lanczos_does(point):
+    with pytest.raises(OverflowError) as expected:
+        reference_gamma(point)
+    with pytest.raises(OverflowError) as got:
+        gamma_eval(point)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(OverflowError) as got:
+        gamma_values([complex(2.5), point, complex(-1.5, 1)])
+    assert str(got.value) == str(expected.value)
 
 
 # -- pole geometry
@@ -220,6 +316,16 @@ def test_reports_are_bit_deterministic():
     assert json.dumps(a.as_payload(), sort_keys=True) == json.dumps(
         b.as_payload(), sort_keys=True
     )
+
+
+def test_verify_checks_poles_at_the_epsilon_it_samples_with():
+    # Seed 167 draws a sample whose shifted argument is 0.0008 from the pole
+    # at -2: clear at epsilon_pole=1e-6, so Gamma must be evaluated there.
+    sys = system(",".join(f"{k}/40" for k in range(40)))
+    verdict = decide_membership(GammaPoly.variable(40, 0), sys)
+    assert min(s.pole_clearance for s in draw_samples(sys, 20, 167, 1e-6)) < EPSILON_POLE
+    report = verify_verdict(verdict, sys, n_samples=20, seed=167, epsilon_pole=1e-6)
+    assert len(report.samples) == 20 and report.verdict_consistent
 
 
 def test_separation_threshold_is_adjustable():
