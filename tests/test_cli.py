@@ -3,7 +3,7 @@ import json
 import pytest
 
 import gamma_ideal.numeric as numeric
-from gamma_ideal.cli import CliConfig, config_from_args, main
+from gamma_ideal.cli import main
 
 IDENTITY = "G(0)*G(2)-G(1)^2-G(0)*G(1)"
 
@@ -378,9 +378,26 @@ def test_shift_list_errors_count_from_the_list_start(capsys, shifts, message):
     assert err == f"error: {message}\n"
 
 
-def test_config_defaults():
-    config = config_from_args(["member", "0,1", "G(0)"])
-    assert config == CliConfig(
-        command="member", shifts="0,1", polynomial="G(0)", samples=20,
-        seed=0, tol=1e-8, output="human", certify=False, verify=False,
-    )
+def test_member_verify_defaults(capsys, monkeypatch):
+    monkeypatch.delenv("GAMMA_IDEAL_SEED", raising=False)
+    _, out, _ = run(capsys, "member", "--verify", "--json", "0,1", "G(0)")
+    report = json.loads(out)["verification"]
+    assert (len(report["samples"]), report["seed"], report["tol"]) == (20, 0, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "argv", [("classes", "0,1"), ("reduce", "0,1", "G(1)"), ("gamma", "--eval", "2")]
+)
+def test_commands_that_never_sample_ignore_the_seed_env(capsys, monkeypatch, argv):
+    monkeypatch.delenv("GAMMA_IDEAL_SEED", raising=False)
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("GAMMA_IDEAL_SEED", "abc")
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0
+
+
+def test_selftest_samples_what_it_is_asked(capsys):
+    code, out, _ = run(capsys, "selftest", "--json", "--samples", "20")
+    checks = {check["name"]: check for check in json.loads(out)["checks"]}
+    assert code == 0
+    assert checks["recurrence"]["detail"].endswith(", 20 samples)")

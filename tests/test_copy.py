@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 import gamma_ideal.parser as parser
-from gamma_ideal.cli import config_from_args
 from gamma_ideal.ideal import decide_membership
 from gamma_ideal.numeric import verify_verdict
 from gamma_ideal.parser import (
@@ -33,7 +32,6 @@ VALUES = [
     AST,
     SYSTEM.generators()[0],
     verify_verdict(VERDICT, SYSTEM, n_samples=3),
-    config_from_args(["member", "--verify", "--json", "0,1", "G(1)-s*G(0)"]),
 ]
 
 
