@@ -6,11 +6,13 @@ the output alone must pass this test unchanged; a mismatch names the argv.
 
 The corpus: the README examples, the criterion-8 texts as
 ``member --certify --verify --json`` and as ``reduce --json``, the chain
-``(G(0)+...+G(n-1))^4`` members for n = 3, 4 and 6, and a few parse
-errors.  Each of these texts that starts with ``-`` is pinned twice: as
-written, which argparse rejects as an unknown option, and after a ``--``
-separator, which reaches the command.  The printed residuals are floating point, so the pinned bytes hold
-for one platform's libm.
+``(G(0)+...+G(n-1))^4`` members for n = 3, 4 and 6, a few parse errors,
+and ``classes`` reports and duplicate-shift errors over out-of-order,
+interleaved, complex, negative and long shift lists.  Each of these texts
+that starts with ``-`` is pinned twice: as written, which argparse rejects
+as an unknown option, and after a ``--`` separator, which reaches the
+command.  The printed residuals are floating point, so the pinned bytes
+hold for one platform's libm.
 
 Regenerate the file (only when the output is meant to change) with
 
@@ -31,6 +33,16 @@ from gamma_ideal.cli import main
 
 PINNED = Path(__file__).with_name("cli_bytes.json")
 IDENTITY = "G(0)*G(2)-G(1)^2-G(0)*G(1)"
+# Shift lists whose classes are out of input order, interleaved, complex,
+# negative or long.
+CLASS_SHIFTS = [
+    "2,0,1",
+    "0,1/2,1,5/2,(1+i)/3,(4+i)/3",
+    "-1/2,1/2,-3/2",
+    ",".join(str(k) for k in range(40)),
+]
+# An identity over two classes given out of order: {2, 0, 1} and {1/2, 5/2}.
+TWO_CLASS_IDENTITY = "G(0)-(s+1)*G(4)+G(3)*G(4)-(s+1/2)*(s+3/2)*G(1)*G(4)"
 
 
 def invoke(argv):
@@ -101,6 +113,15 @@ def corpus():
             argvs.append(["reduce", "--json", "--", shifts, text])
     for shifts, text in chains:
         argvs.append(["member", shifts, text, "--certify", "--verify", "--json"])
+    for shifts in CLASS_SHIFTS:
+        argvs.append(["classes", shifts])
+        argvs.append(["classes", shifts, "--json"])
+        if shifts.startswith("-"):
+            argvs.append(["classes", "--", shifts])
+            argvs.append(["classes", "--json", "--", shifts])
+    argvs.append(["classes", "0,1/2,1/2,0"])
+    argvs.append(["classes", "0,0"])
+    argvs.append(["member", "2,1/2,0,5/2,1", TWO_CLASS_IDENTITY, "--certify", "--verify", "--json"])
     unique = {json.dumps(argv): argv for argv in argvs}  # the random texts repeat some
     return list(unique.values())
 
