@@ -13,7 +13,8 @@ stable across runs with the same seed).  Exit codes: 0 success/member,
 1 failure/non-member, 2 usage error.  An operand that starts with ``-``
 needs ``--`` before it, as in ``member -- 0,1 "-s*G(0)+G(1)"``.  The
 environment variable ``GAMMA_IDEAL_SEED`` overrides the default sampling
-seed of the two commands that sample, ``member`` and ``selftest``.
+seed of the runs that sample, ``member --verify`` and ``selftest``; the
+other runs do not read it.
 
 Each subparser names its command in ``run``, and the command reads its
 options from the argparse namespace.  A command computes its result once and
@@ -393,7 +394,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse already printed a usage message
         return int(exc.code or 0)
     try:
-        if "seed" in args:  # only the commands that sample: member, selftest
+        if "seed" in args and getattr(args, "verify", True):  # member --verify, selftest
             args.seed = _resolve_seed(args.seed)
         return args.run(args)
     except _numeric_errors() as exc:

@@ -90,6 +90,14 @@ def pole_clearance(s: complex, shifts: Sequence[complex]) -> float:
     return min(nearest_pole(s + complex(a))[1] for a in shifts)
 
 
+def _check_poles(points: Iterable[complex], epsilon_pole: float) -> None:
+    """Raise ``PoleError`` at the first point within epsilon_pole of a pole."""
+    for z in points:
+        pole, clearance = nearest_pole(z)
+        if clearance < epsilon_pole:
+            raise PoleError(z, pole, clearance)
+
+
 def gamma_values(
     points: Iterable[complex], epsilon_pole: float = EPSILON_POLE
 ) -> List[complex]:
@@ -97,9 +105,13 @@ def gamma_values(
     poles.  Each step maps one operation over all points, so a point's value
     does not depend on the others."""
     points = list(map(complex, points))
-    for z, (pole, clearance) in zip(points, map(nearest_pole, points)):
-        if clearance < epsilon_pole:
-            raise PoleError(z, pole, clearance)
+    _check_poles(points, epsilon_pole)
+    return _lanczos_values(points)
+
+
+def _lanczos_values(points: List[complex]) -> List[complex]:
+    """``gamma_values`` without the pole check, for points already known
+    to be clear of the poles."""
     reflect = [z.real < 0.5 for z in points]
     sines = list(map(cmath.sin, map(mul, repeat(math.pi), compress(points, reflect))))
     if sines:
@@ -209,19 +221,17 @@ def _evaluate_terms(
 
 
 def _evaluate(
-    p: GammaPoly, sys: ShiftSystem, points: List[complex], epsilon_pole: float
+    p: GammaPoly, sys: ShiftSystem, points: List[complex]
 ) -> Tuple[List[complex], List[float]]:
     """Values and cancellation scales of p at every point: one Gamma pass
-    per shift over all points, one float table and one kernel pass."""
+    per shift over all points, one float table and one kernel pass.  The
+    caller has checked every shifted point for poles."""
     if not points:
         # No point, no evaluation: not even the arities are compared.
         return [], []
     if p.arity != sys.arity:
         raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
-    gammas = [
-        gamma_values(list(map(add, points, repeat(a))), epsilon_pole)
-        for a in map(complex, sys.shifts)
-    ]
+    gammas = [_lanczos_values(list(map(add, points, repeat(a)))) for a in map(complex, sys.shifts)]
     return _evaluate_terms(_float_table(p), gammas, points)
 
 
@@ -236,9 +246,12 @@ def evaluate_poly(
 
     This is the oracle of ``verify_verdict`` run on one point: one Gamma
     pass per shift, one float table and one kernel pass, so both give the
-    same bits.
+    same bits.  The point is checked for poles first, shift by shift, as
+    ``draw_samples`` checks each sample of ``verify_verdict``.
     """
-    values, scales = _evaluate(p, sys, [complex(s)], EPSILON_POLE)
+    s = complex(s)
+    _check_poles([s + a for a in map(complex, sys.shifts)], EPSILON_POLE)
+    values, scales = _evaluate(p, sys, [s])
     return values[0], scales[0]
 
 
@@ -332,7 +345,8 @@ def verify_verdict(
         separation = tol
     p = verdict.certificate.input
     points = [sample.point for sample in draw_samples(sys, n_samples, seed, epsilon_pole)]
-    values, scales = _evaluate(p, sys, points, epsilon_pole)
+    # draw_samples has checked every (sample, shift) for poles.
+    values, scales = _evaluate(p, sys, points)
     rows = list(map(SampleResidual, points, map(abs, values), scales))
     max_relative = max((row.relative for row in rows), default=0.0)
     if verdict.is_member:
@@ -364,15 +378,6 @@ class CheckResult(Record):
         setfield(self, "threshold", threshold)
         setfield(self, "passed", passed)
 
-    def as_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "max_relative_error": self.max_relative_error,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
-
 
 class SelftestReport(Record):
     __slots__ = _fields = ("checks",)
@@ -383,12 +388,6 @@ class SelftestReport(Record):
     @property
     def ok(self) -> bool:
         return all(check.passed for check in self.checks)
-
-    def as_payload(self) -> dict:
-        return {
-            "checks": [check.as_payload() for check in self.checks],
-            "ok": self.ok,
-        }
 
 
 def _clear_samples(rng: random.Random, count: int, margin: float = 0.05) -> List[complex]:

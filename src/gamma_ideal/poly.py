@@ -78,12 +78,6 @@ def monomial_degree(m: Monomial) -> int:
     return sum(m)
 
 
-def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if len(m1) != len(m2):
-        raise ValueError(f"monomial arity mismatch: {len(m1)} vs {len(m2)}")
-    return tuple(a + b for a, b in zip(m1, m2))
-
-
 # ---------------------------------------------------------------------------
 # univariate layer
 
@@ -413,11 +407,6 @@ class GammaPoly:
         mono = tuple(1 if k == index else 0 for k in range(arity))
         return cls(arity, {mono: UniPoly.one()})
 
-    @classmethod
-    def s_var(cls, arity: int) -> GammaPoly:
-        """The argument variable s embedded as a polynomial."""
-        return cls.constant(arity, UniPoly.x())
-
     # -- structure
 
     @property
@@ -456,12 +445,6 @@ class GammaPoly:
         """Total degree of the lex-highest monomial."""
         mono, _ = self.highest_term()
         return monomial_degree(mono)
-
-    def total_degree(self) -> Union[int, float]:
-        """Largest total degree over all stored monomials (not order-dependent)."""
-        if not self._terms:
-            return MINUS_INFINITY
-        return max(monomial_degree(m) for m in self._terms)
 
     # -- ring operations
 

@@ -91,14 +91,8 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_one(self) -> bool:
-        return self.re == self.den == 1 and not self.im
-
     def is_integer(self) -> bool:
         return not self.im and self.den == 1
-
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational._of(self.re, -self.im, self.den)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -328,7 +322,3 @@ def scalar_text(value: GaussianRational) -> str:
     """Canonical decimal-free rendering: "p/q", "(p/q)i", or a sum of both."""
     return pair_text(value.re, value.im, value.den)
 
-
-def scalar_factor_text(value: GaussianRational) -> str:
-    """Rendering safe to splice into a product: mixed values get parentheses."""
-    return pair_factor_text(value.re, value.im, value.den)

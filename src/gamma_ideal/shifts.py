@@ -11,6 +11,14 @@ generating relation
 
 and these relations are the whole obstruction to independence: a tuple with
 only singleton classes admits no nontrivial relation at all.
+
+A canonical shift (re + im*i)/den plus an integer k is (re + k*den + im*i)/den,
+still canonical, so a_i - a_j is an integer exactly when the two shifts have
+the same class key (re % den, im, den), and that integer is then the
+difference of their values of re // den.  ``build_shift_system`` groups by that key in one pass.
+Walking a class in offset order, each multiplier is the previous one times
+the rising factorial over the gap between them, so ``generators`` makes one
+running product per class.
 """
 
 from __future__ import annotations
@@ -32,8 +40,10 @@ def rising_factorial(start: GaussianRational, length: int) -> UniPoly:
     """(s + start)(s + start + 1)...(s + start + length - 1); one() for length 0."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    product = UniPoly.one()
-    for k in range(length):
+    if not length:
+        return UniPoly.one()
+    product = UniPoly.linear(start)
+    for k in range(1, length):
         product = product * UniPoly.linear(start + k)
     return product
 
@@ -64,14 +74,14 @@ class ShiftSystem(Record):
     ``classes`` lists index classes sorted by offset from the class
     representative (which therefore comes first); ``representatives`` is
     aligned with ``classes``.  Build instances with ``build_shift_system``.
-    The index-to-class map and the generators are computed once, on first
-    use, into the slots ``_class_of`` and ``_generators``; pickling and
-    copying carry them along.
+    Each index's class and offset are derived once, on construction; the
+    generators are computed on first use into the slot ``_generators``,
+    which pickling and copying carry along.
     """
 
     _fields = ("shifts", "classes", "representatives")
-    _caches = ("_class_of", "_generators")
-    __slots__ = _fields + _caches
+    _caches = ("_generators",)
+    __slots__ = _fields + ("_class_index", "_offset") + _caches
 
     def __init__(
         self,
@@ -82,6 +92,16 @@ class ShiftSystem(Record):
         setfield(self, "shifts", shifts)
         setfield(self, "classes", classes)
         setfield(self, "representatives", representatives)
+        class_index = [0] * len(shifts)
+        offset = [0] * len(shifts)
+        for c, cls in enumerate(classes):
+            base = shifts[cls[0]]
+            for member in cls:
+                class_index[member] = c
+                # Members of a class share im, den and re mod den.
+                offset[member] = (shifts[member].re - base.re) // base.den
+        setfield(self, "_class_index", tuple(class_index))
+        setfield(self, "_offset", tuple(offset))
 
     def __reduce__(self):
         filled = {name: getattr(self, name) for name in self._caches if hasattr(self, name)}
@@ -100,49 +120,50 @@ class ShiftSystem(Record):
         """True when every class is a singleton: no relation exists."""
         return all(len(cls) == 1 for cls in self.classes)
 
-    def class_index_of(self, index: int) -> int:
+    def _checked(self, index: int) -> int:
         if not 0 <= index < self.arity:
             raise ValueError(f"variable index {index} out of range")
-        try:
-            class_of = self._class_of
-        except AttributeError:
-            class_of = [0] * self.arity
-            for c, cls in enumerate(self.classes):
-                for member in cls:
-                    class_of[member] = c
-            class_of = tuple(class_of)
-            setfield(self, "_class_of", class_of)
-        return class_of[index]
+        return index
+
+    def class_index_of(self, index: int) -> int:
+        return self._class_index[self._checked(index)]
 
     def representative_of(self, index: int) -> int:
         return self.representatives[self.class_index_of(index)]
 
     def offset_of(self, index: int) -> int:
         """Integer d >= 0 with shift[index] = shift[representative] + d."""
-        rep = self.representative_of(index)
-        d = integer_difference(self.shifts[index], self.shifts[rep])
-        assert d is not None and d >= 0
-        return d
+        return self._offset[self._checked(index)]
 
     def is_representative(self, index: int) -> bool:
-        return self.representative_of(index) == index
+        return not self.offset_of(index)
 
     def non_representatives(self) -> Tuple[int, ...]:
-        return tuple(
-            i for i in range(self.arity) if not self.is_representative(i)
-        )
+        return tuple(i for i, d in enumerate(self._offset) if d)
 
     def generators(self) -> Tuple[Relation, ...]:
-        """One generating relation per non-representative index, ascending."""
+        """One generating relation per non-representative index, ascending.
+
+        Each class is walked once in offset order with a running product:
+        the multiplier of a member is its predecessor's multiplier times
+        ``rising_factorial(predecessor's shift, gap)``, so a class of n
+        consecutive shifts costs O(n) polynomial products, not O(n^2).
+        """
         try:
             return self._generators
         except AttributeError:
-            generators = tuple(
-                generating_relation(self, self.representative_of(j), j)
-                for j in self.non_representatives()
-            )
-            setfield(self, "_generators", generators)
-            return generators
+            pass
+        by_target = {}
+        for rep, *members in self.classes:
+            multiplier, prev = UniPoly.one(), rep
+            for j in members:
+                gap = self._offset[j] - self._offset[prev]
+                multiplier = multiplier * rising_factorial(self.shifts[prev], gap)
+                by_target[j] = _relation(self.arity, rep, j, multiplier)
+                prev = j
+        generators = tuple(by_target[j] for j in sorted(by_target))
+        setfield(self, "_generators", generators)
+        return generators
 
     def shifts_text(self) -> str:
         return ", ".join(str(a) for a in self.shifts)
@@ -153,42 +174,38 @@ class ShiftSystem(Record):
 
 def build_shift_system(shifts: Sequence[ScalarLike]) -> ShiftSystem:
     """Partition a tuple of pairwise-distinct shifts into integer-difference
-    classes and pick each class's minimal-offset member as representative."""
+    classes and pick each class's minimal-offset member as representative.
+
+    One pass groups the indices by the class key ``(re % den, im, den)`` of
+    each canonical shift: adding an integer k to ``(re + im*i)/den`` gives
+    the canonical ``(re + k*den + im*i)/den``, so two shifts differ by an
+    integer exactly when their keys agree.  Classes come in order of first
+    appearance, each sorted by ``re`` (that is, by offset).  A repeated
+    shift is an error naming the lexicographically first pair of positions.
+    """
     values = tuple(to_scalar(a) for a in shifts)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] == values[j]:
-                raise ValueError(
-                    f"duplicate shift {values[i]} at positions {i} and {j}; "
-                    "a repeated Gamma argument is degenerate"
-                )
-
-    groups: list[list[int]] = []
+    first_seen: dict = {}
+    repeats = []
+    groups: dict = {}
     for idx, a in enumerate(values):
-        for group in groups:
-            if integer_difference(a, values[group[0]]) is not None:
-                group.append(idx)
-                break
-        else:
-            groups.append([idx])
+        seen = first_seen.setdefault(a, idx)
+        if seen != idx:
+            repeats.append((seen, idx))
+        groups.setdefault((a.re % a.den, a.im, a.den), []).append(idx)
+    if repeats:
+        i, j = min(repeats)
+        raise ValueError(
+            f"duplicate shift {values[i]} at positions {i} and {j}; "
+            "a repeated Gamma argument is degenerate"
+        )
+    classes = tuple(tuple(sorted(group, key=lambda k: values[k].re)) for group in groups.values())
+    return ShiftSystem(values, classes, tuple(cls[0] for cls in classes))
 
-    # Integer-difference is transitive on exact scalars; verify rather than trust.
-    for gi, group in enumerate(groups):
-        for i in group:
-            for j in group:
-                assert integer_difference(values[i], values[j]) is not None
-        for other in groups[gi + 1 :]:
-            for j in other:
-                assert integer_difference(values[group[0]], values[j]) is None
 
-    classes = []
-    representatives = []
-    for group in groups:
-        anchor = values[group[0]]
-        ordered = sorted(group, key=lambda k: integer_difference(values[k], anchor))
-        classes.append(tuple(ordered))
-        representatives.append(ordered[0])
-    return ShiftSystem(values, tuple(classes), tuple(representatives))
+def _relation(arity: int, source: int, target: int, multiplier: UniPoly) -> Relation:
+    """The relation G(target) - multiplier * G(source)."""
+    as_poly = GammaPoly.variable(arity, target) - GammaPoly.variable(arity, source) * multiplier
+    return Relation(source=source, target=target, multiplier=multiplier, as_poly=as_poly)
 
 
 def generating_relation(sys: ShiftSystem, i: int, j: int) -> Relation:
@@ -197,16 +214,12 @@ def generating_relation(sys: ShiftSystem, i: int, j: int) -> Relation:
         raise ValueError(
             f"shifts {sys.shifts[i]} and {sys.shifts[j]} do not differ by an integer"
         )
-    d = integer_difference(sys.shifts[j], sys.shifts[i])
-    if d is None or d < 1:
+    d = sys.offset_of(j) - sys.offset_of(i)
+    if d < 1:
         raise ValueError(
             f"need a positive integer gap from index {i} to {j}, got {d}"
         )
-    multiplier = rising_factorial(sys.shifts[i], d)
-    as_poly = GammaPoly.variable(sys.arity, j) - GammaPoly.variable(
-        sys.arity, i
-    ) * multiplier
-    return Relation(source=i, target=j, multiplier=multiplier, as_poly=as_poly)
+    return _relation(sys.arity, i, j, rising_factorial(sys.shifts[i], d))
 
 
 def shift_apply(q: GammaPoly, sys: ShiftSystem) -> GammaPoly:

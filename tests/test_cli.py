@@ -351,8 +351,17 @@ def test_explicit_seed_beats_the_env(capsys, monkeypatch):
 
 def test_invalid_seed_env_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("GAMMA_IDEAL_SEED", "not-a-number")
-    code, _, _ = run(capsys, "member", "0,1,2", IDENTITY)
+    code, _, _ = run(capsys, "member", "0,1,2", IDENTITY, "--verify")
     assert code == 2
+
+
+@pytest.mark.parametrize("text, verdict_code", [(IDENTITY, 0), ("G(0)*G(2)-G(1)^2", 1)])
+def test_member_without_verify_ignores_the_seed_env(capsys, monkeypatch, text, verdict_code):
+    monkeypatch.delenv("GAMMA_IDEAL_SEED", raising=False)
+    expected = run(capsys, "member", "0,1,2", text)
+    monkeypatch.setenv("GAMMA_IDEAL_SEED", "not-a-number")
+    assert run(capsys, "member", "0,1,2", text) == expected
+    assert expected[0] == verdict_code
 
 
 def test_non_ascii_seed_env_is_a_usage_error(capsys, monkeypatch):

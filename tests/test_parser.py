@@ -30,6 +30,11 @@ from gamma_ideal.scalars import I, ONE, GaussianRational, decimal_text, to_scala
 from strategies import gamma_polys, scalars
 
 
+def s_var(arity: int) -> GammaPoly:
+    """The argument variable s embedded as a polynomial."""
+    return GammaPoly.constant(arity, UniPoly.x())
+
+
 def test_worked_identity_parses():
     p = parse_gamma_poly("G(0)*G(2) - G(1)^2 - G(0)*G(1)", 3)
     y, z, w = (GammaPoly.variable(3, k) for k in range(3))
@@ -38,7 +43,7 @@ def test_worked_identity_parses():
 
 def test_recurrence_generator_parses():
     p = parse_gamma_poly("G(1) - s*G(0)", 2)
-    expected = GammaPoly.variable(2, 1) - GammaPoly.s_var(2) * GammaPoly.variable(2, 0)
+    expected = GammaPoly.variable(2, 1) - s_var(2) * GammaPoly.variable(2, 0)
     assert p == expected
 
 
@@ -137,7 +142,7 @@ def test_division_by_non_constants_is_rejected(text):
 
 def test_unary_signs():
     assert parse_gamma_poly("-G(0)+G(0)", 1).is_zero()
-    assert parse_gamma_poly("+s", 0) == GammaPoly.s_var(0)
+    assert parse_gamma_poly("+s", 0) == s_var(0)
     # sign binds the whole leading term
     assert parse_gamma_poly("-2*G(0)", 1) == GammaPoly.constant(1, -2) * GammaPoly.variable(1, 0)
 
@@ -264,7 +269,7 @@ def test_long_flat_product_lowers():
 
 def test_nesting_up_to_the_limit_parses():
     depth = MAX_NESTING
-    assert parse_gamma_poly("(" * depth + "s" + ")" * depth, 0) == GammaPoly.s_var(0)
+    assert parse_gamma_poly("(" * depth + "s" + ")" * depth, 0) == s_var(0)
 
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
@@ -332,7 +337,7 @@ def reference_lower(node: ExprAst, arity: int) -> GammaPoly:
     if isinstance(node, Lit):
         return GammaPoly.constant(arity, UniPoly.constant(node.value))
     if isinstance(node, SVar):
-        return GammaPoly.s_var(arity)
+        return s_var(arity)
     if isinstance(node, GammaRef):
         return GammaPoly.variable(arity, node.index)
     if isinstance(node, Neg):

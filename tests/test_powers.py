@@ -44,7 +44,7 @@ CASES = {
     "GaussianRational": (lambda: GaussianRational(Fraction(2, 3), Fraction(-1, 2)), lambda: ONE),
     "UniPoly": (lambda: UniPoly((Fraction(1, 2), GaussianRational(0, 1), 3)), UniPoly.one),
     "GammaPoly": (
-        lambda: GammaPoly.variable(2, 0) + GammaPoly.s_var(2) * GammaPoly.variable(2, 1),
+        lambda: GammaPoly.variable(2, 0) + GammaPoly.constant(2, UniPoly.x()) * GammaPoly.variable(2, 1),
         lambda: GammaPoly.constant(2, ONE),
     ),
 }

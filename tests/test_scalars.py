@@ -17,13 +17,21 @@ from gamma_ideal.scalars import (
     GaussianRational,
     decimal_int,
     decimal_text,
+    pair_factor_text,
     pair_text,
-    scalar_factor_text,
     scalar_text,
     to_scalar,
 )
 from strategies import nonzero_scalars, scalars
 from test_gammapoly import ref_scalar_text
+
+
+def conjugate(z: GaussianRational) -> GaussianRational:
+    return GaussianRational._of(z.re, -z.im, z.den)
+
+
+def scalar_factor_text(value: GaussianRational) -> str:
+    return pair_factor_text(value.re, value.im, value.den)
 
 
 def test_construction_coerces_to_fractions():
@@ -34,7 +42,7 @@ def test_construction_coerces_to_fractions():
 
 def test_basic_predicates():
     assert ZERO.is_zero() and not ONE.is_zero()
-    assert ONE.is_one()
+    assert (ONE.re, ONE.im, ONE.den) == (1, 0, 1)
     assert to_scalar(3).is_integer()
     assert not GaussianRational(Fraction(1, 2)).is_integer()
     assert not I.is_integer()
@@ -66,7 +74,7 @@ def test_inverse_through_conjugate(z):
 
 @given(scalars, scalars)
 def test_conjugate_is_multiplicative(a, b):
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert conjugate(a * b) == conjugate(a) * conjugate(b)
 
 
 @given(scalars)
@@ -187,7 +195,7 @@ def test_arithmetic_matches_fraction_pairs(x, y, e):
     checked(a - b, (x[0] - y[0], x[1] - y[1]))
     checked(a * b, ref_mul(x, y))
     checked(a**e, reduce(ref_mul, [x] * e, (1, 0)))
-    checked(a.conjugate(), (x[0], -x[1]))
+    checked(conjugate(a), (x[0], -x[1]))
     checked(-a, (-x[0], -x[1]))
     checked(a + 3, (x[0] + 3, x[1]))
     checked(2 * a, (2 * x[0], 2 * x[1]))

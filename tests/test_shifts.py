@@ -2,17 +2,20 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gamma_ideal.poly import GammaPoly, UniPoly, height, highest_term
 from gamma_ideal.scalars import GaussianRational, to_scalar
 from gamma_ideal.shifts import (
+    Relation,
     build_shift_system,
     generating_relation,
     integer_difference,
     rising_factorial,
     shift_apply,
 )
-from strategies import system_with_polys
+from strategies import random_shift_system, system_with_polys
+from test_output_cost import counter
 
 HALF = Fraction(1, 2)
 IMAG = GaussianRational(0, 1)
@@ -85,6 +88,19 @@ def test_duplicate_shifts_are_rejected():
         build_shift_system([0, 0])
 
 
+def test_duplicate_error_names_the_first_pair_of_positions():
+    with pytest.raises(ValueError, match="duplicate shift 0 at positions 0 and 3"):
+        build_shift_system([0, HALF, HALF, 0])
+
+
+def test_negative_and_complex_shifts_share_a_class_by_their_key():
+    third = GaussianRational(Fraction(1, 3), Fraction(1, 3))
+    sys = build_shift_system([-HALF, HALF, Fraction(-3, 2), third, third + 1, third - 2])
+    assert sys.classes == ((2, 0, 1), (5, 3, 4))
+    assert sys.representatives == (2, 5)
+    assert [sys.offset_of(k) for k in range(6)] == [1, 2, 0, 2, 3, 0]
+
+
 def test_scaled_shift_families_stay_independent():
     for alpha in (Fraction(3, 7), IMAG, GaussianRational(HALF, HALF)):
         sys = build_shift_system([to_scalar(0), to_scalar(alpha), to_scalar(alpha) * 2])
@@ -132,7 +148,7 @@ def test_shift_apply_on_a_single_placeholder():
 
 def test_shift_apply_translates_plain_coefficients():
     sys = build_shift_system([0, HALF])
-    p = GammaPoly.s_var(2)
+    p = GammaPoly.constant(2, UniPoly.x())
     assert shift_apply(p, sys) == GammaPoly.constant(2, UniPoly.linear(1))
 
 
@@ -167,3 +183,126 @@ def test_shift_apply_rejects_arity_mismatch():
     sys = build_shift_system([0, 1])
     with pytest.raises(ValueError):
         shift_apply(GammaPoly.variable(3, 0), sys)
+
+
+# -- the one-pass build against the pairwise construction it replaced
+
+
+def reference_rising_factorial(start: GaussianRational, length: int) -> UniPoly:
+    """(s + start)(s + start + 1)...(s + start + length - 1); one() for length 0."""
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    product = UniPoly.one()
+    for k in range(length):
+        product = product * UniPoly.linear(start + k)
+    return product
+
+
+def reference_build_shift_system(shifts):
+    """Partition a tuple of pairwise-distinct shifts into integer-difference
+    classes and pick each class's minimal-offset member as representative.
+
+    The pairwise construction: returns (shifts, classes, representatives)."""
+    values = tuple(to_scalar(a) for a in shifts)
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if values[i] == values[j]:
+                raise ValueError(
+                    f"duplicate shift {values[i]} at positions {i} and {j}; "
+                    "a repeated Gamma argument is degenerate"
+                )
+
+    groups: list[list[int]] = []
+    for idx, a in enumerate(values):
+        for group in groups:
+            if integer_difference(a, values[group[0]]) is not None:
+                group.append(idx)
+                break
+        else:
+            groups.append([idx])
+
+    # Integer-difference is transitive on exact scalars; verify rather than trust.
+    for gi, group in enumerate(groups):
+        for i in group:
+            for j in group:
+                assert integer_difference(values[i], values[j]) is not None
+        for other in groups[gi + 1 :]:
+            for j in other:
+                assert integer_difference(values[group[0]], values[j]) is None
+
+    classes = []
+    representatives = []
+    for group in groups:
+        anchor = values[group[0]]
+        ordered = sorted(group, key=lambda k: integer_difference(values[k], anchor))
+        classes.append(tuple(ordered))
+        representatives.append(ordered[0])
+    return values, tuple(classes), tuple(representatives)
+
+
+def reference_generators(values, classes, representatives):
+    """One relation per non-representative index, ascending, each multiplier
+    a rising factorial built from scratch."""
+    arity = len(values)
+    relations = []
+    for cls, rep in zip(classes, representatives):
+        for j in cls:
+            d = integer_difference(values[j], values[rep])
+            if d:
+                multiplier = reference_rising_factorial(values[rep], d)
+                as_poly = GammaPoly.variable(arity, j) - GammaPoly.variable(arity, rep) * multiplier
+                relations.append(Relation(rep, j, multiplier, as_poly))
+    return tuple(sorted(relations, key=lambda r: r.target))
+
+
+SMALL_SHIFTS = [to_scalar(a) for a in (0, 1, 2, -1, HALF, Fraction(5, 2), Fraction(-3, 2))] + [
+    IMAG,
+    IMAG + 1,
+    GaussianRational(Fraction(1, 3), Fraction(1, 3)),
+    GaussianRational(Fraction(4, 3), Fraction(1, 3)),
+]
+
+
+@st.composite
+def shift_lists(draw):
+    """Shift lists from ``random_shift_system`` in any order, some with a
+    shift repeated, and short lists over a small pool that often repeat."""
+    rng = draw(st.randoms(use_true_random=False))
+    shifts = draw(st.permutations(random_shift_system(rng, max_arity=7).shifts))
+    if draw(st.booleans()):
+        repeated = draw(st.sampled_from(shifts))
+        shifts.insert(draw(st.integers(0, len(shifts))), repeated)
+    small = draw(st.lists(st.sampled_from(SMALL_SHIFTS), max_size=8))
+    return draw(st.sampled_from([shifts, small]))
+
+
+def outcome(build, shifts):
+    try:
+        return build(shifts)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(shift_lists())
+def test_one_pass_build_matches_the_pairwise_reference(shifts):
+    def one_pass(shifts):
+        sys = build_shift_system(shifts)
+        return sys.shifts, sys.classes, sys.representatives, sys.generators()
+
+    def pairwise(shifts):
+        built = reference_build_shift_system(shifts)
+        return (*built, reference_generators(*built))
+
+    assert outcome(one_pass, shifts) == outcome(pairwise, shifts)
+
+
+def test_generators_of_a_chain_take_two_products_per_member(monkeypatch):
+    n = 64
+    subtractions = counter(monkeypatch, GaussianRational, "__sub__")
+    sys = build_shift_system(range(n))
+    assert subtractions == []
+    products = counter(monkeypatch, UniPoly, "__mul__")
+    generators = sys.generators()
+    assert len(products) <= 2 * (n - 1)
+    monkeypatch.undo()
+    assert generators[-1].multiplier == reference_rising_factorial(to_scalar(0), n - 1)

@@ -3,7 +3,9 @@ polynomial that is its own normal form once.
 
 One call builds one float table, runs the term kernel once over the whole
 sample vector and makes one Gamma pass per shift over all samples; it never
-evaluates Gamma one (sample, shift) at a time.  When no generator applies,
+evaluates Gamma one (sample, shift) at a time.  Each (sample, shift) is
+checked for poles once, when the sample is drawn, not again in the Gamma
+pass.  When no generator applies,
 the normal form is the input object itself, and ``Certificate.as_payload``,
 ``reduce --json`` and ``member --json`` render its text once.
 """
@@ -26,7 +28,8 @@ def test_verify_runs_one_kernel_and_one_gamma_pass_per_shift(monkeypatch, name):
     expected = verify_verdict(verdict, sys, n_samples=20, seed=3)
     tables = counter(monkeypatch, numeric, "_float_table")
     kernels = counter(monkeypatch, numeric, "_evaluate_terms")
-    passes = counter(monkeypatch, numeric, "gamma_values")
+    passes = counter(monkeypatch, numeric, "_lanczos_values")
+    checked = counter(monkeypatch, numeric, "gamma_values")
     scalar = counter(monkeypatch, numeric, "gamma_eval")
     report = verify_verdict(verdict, sys, n_samples=20, seed=3)
     assert report == expected
@@ -34,7 +37,20 @@ def test_verify_runs_one_kernel_and_one_gamma_pass_per_shift(monkeypatch, name):
     points = [row.point for row in report.samples]
     shifts = [complex(a) for a in sys.shifts]
     assert [args[0] for args in passes] == [[s + a for s in points] for a in shifts]
-    assert scalar == []
+    assert scalar == checked == []
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_verify_checks_each_drawn_point_for_poles_once(monkeypatch, name):
+    sys, poly = INPUTS[name]()
+    verdict = decide_membership(poly, sys)
+    expected = verify_verdict(verdict, sys, n_samples=20, seed=3, epsilon_pole=1.0)
+    attempts = counter(monkeypatch, numeric, "pole_clearance")
+    checks = counter(monkeypatch, numeric, "nearest_pole")
+    report = verify_verdict(verdict, sys, n_samples=20, seed=3, epsilon_pole=1.0)
+    assert report == expected
+    assert len(attempts) > len(report.samples), "some draws should land near a pole"
+    assert len(checks) == len(attempts) * sys.arity
 
 
 def rendered(monkeypatch) -> list:
