@@ -199,3 +199,26 @@ def random_shift_system(
         if require_relation and not sys.generators():
             continue
         return sys
+
+
+def flat_sum(terms: int, seed: int, arity: int = 4) -> str:
+    """A sum of ``terms`` monomials as the printer writes them: coefficients
+    like ``-9`` or ``5/2``, powers of ``s`` and of the ``G(k)`` for k below
+    ``arity``."""
+    rng = random.Random(seed)
+    pieces = []
+    for k in range(terms):
+        factors = []
+        coefficient = rng.randint(1, 9)
+        if coefficient != 1 or rng.random() < 0.2:
+            factors.append(str(coefficient) + rng.choice(["", "", "/2"]))
+        power = rng.randint(0, 3)
+        if power:
+            factors.append("s" if power == 1 else f"s^{power}")
+        for index in range(arity):
+            exponent = rng.choice([0, 0, 1, 2, 6])
+            if exponent:
+                factors.append(f"G({index})" if exponent == 1 else f"G({index})^{exponent}")
+        sign = rng.choice("+-") if k else rng.choice(["", "-"])
+        pieces.append(sign + "*".join(factors or ["1"]))
+    return "".join(pieces)

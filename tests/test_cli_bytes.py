@@ -7,8 +7,10 @@ the output alone must pass this test unchanged; a mismatch names the argv.
 The corpus: the README examples, the criterion-8 texts as
 ``member --certify --verify --json`` and as ``reduce --json``, the chain
 ``(G(0)+...+G(n-1))^4`` members for n = 3, 4 and 6, a few parse errors,
-and ``classes`` reports and duplicate-shift errors over out-of-order,
-interleaved, complex, negative and long shift lists.  Each of these texts
+``classes`` reports and duplicate-shift errors over out-of-order,
+interleaved, complex, negative and long shift lists, and the parser's
+edges after a ``--``: rejected and accepted texts, nesting at and past
+``MAX_NESTING`` and a 1200-term flat sum.  Each criterion-8 or chain text
 that starts with ``-`` is pinned twice: as written, which argparse rejects
 as an unknown option, and after a ``--`` separator, which reaches the
 command.  The printed residuals are floating point, so the pinned bytes
@@ -43,6 +45,18 @@ CLASS_SHIFTS = [
 ]
 # An identity over two classes given out of order: {2, 0, 1} and {1/2, 5/2}.
 TWO_CLASS_IDENTITY = "G(0)-(s+1)*G(4)+G(3)*G(4)-(s+1/2)*(s+3/2)*G(1)*G(4)"
+# Texts the parser rejects, each with a one-line error: junk characters,
+# other scripts' digits, unknown names, unbalanced parentheses, a negative
+# index, a missing or doubled exponent, an exponent of an exponent,
+# division by a non-constant and float syntax.
+PARSER_ERRORS = [
+    "G(0)+$", "G(0).5", "s_1", "G(\u0663)", "s^\u00b2", "\u00e9*G(0)", "x", "G(0", "G)",
+    "G(-1)", "s^", "2^^3", "G(0)^0^0", "G(1)/(1/s)", "1e3",
+]
+# Texts it accepts: Unicode whitespace, postfix i, and spaces between tokens.
+PARSER_ACCEPTED = [
+    "G(0)\t+\x1cs", "(1+i)i*G(0)", "2i^2*G(1)", "G (1) - s * G ( 0 )", "-(G(1)-s*G(0))",
+]
 
 
 def invoke(argv):
@@ -62,7 +76,8 @@ def corpus():
     from gamma_ideal.ideal import normal_form
     from gamma_ideal.poly import GammaPoly, gamma_poly_text
     from gamma_ideal.shifts import build_shift_system
-    from strategies import random_poly
+    from gamma_ideal.parser import MAX_NESTING
+    from strategies import flat_sum, random_poly
 
     argvs = [
         ["member", "0,1,2", IDENTITY, "--certify", "--verify"],
@@ -122,6 +137,12 @@ def corpus():
     argvs.append(["classes", "0,1/2,1/2,0"])
     argvs.append(["classes", "0,0"])
     argvs.append(["member", "2,1/2,0,5/2,1", TWO_CLASS_IDENTITY, "--certify", "--verify", "--json"])
+    nested = ["(" * depth + "G(1)-s*G(0)" + ")" * depth for depth in (MAX_NESTING, MAX_NESTING + 1)]
+    for text in PARSER_ERRORS + PARSER_ACCEPTED + nested:
+        argvs.append(["reduce", "--json", "--", "0,1", text])
+    for shifts in ["0, 1/2, (1+i)/2", "0,1/0", " , "]:
+        argvs.append(["classes", shifts])
+    argvs.append(["reduce", "--json", "0,1,1/3,2/3", flat_sum(1200, seed=1200)])
     unique = {json.dumps(argv): argv for argv in argvs}  # the random texts repeat some
     return list(unique.values())
 

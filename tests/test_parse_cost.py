@@ -7,38 +7,14 @@ public checked constructor.  Only a parenthesised sum is multiplied in as a
 polynomial.
 """
 
-import random
-
 import pytest
 
 from gamma_ideal.parser import lower_to_poly, parse_poly
 from gamma_ideal.poly import GammaPoly, UniPoly
+from strategies import flat_sum
 from test_output_cost import counter
 
 ARITY = 4
-
-
-def flat_sum(terms: int, seed: int) -> str:
-    """A sum of ``terms`` monomials over 4 shifts, as the printer writes
-    them: coefficients like ``-9`` or ``5/2``, powers of ``s`` and of the
-    ``G(k)``."""
-    rng = random.Random(seed)
-    pieces = []
-    for k in range(terms):
-        factors = []
-        coefficient = rng.randint(1, 9)
-        if coefficient != 1 or rng.random() < 0.2:
-            factors.append(str(coefficient) + rng.choice(["", "", "/2"]))
-        power = rng.randint(0, 3)
-        if power:
-            factors.append("s" if power == 1 else f"s^{power}")
-        for index in range(ARITY):
-            exponent = rng.choice([0, 0, 1, 2, 6])
-            if exponent:
-                factors.append(f"G({index})" if exponent == 1 else f"G({index})^{exponent}")
-        sign = rng.choice("+-") if k else rng.choice(["", "-"])
-        pieces.append(sign + "*".join(factors or ["1"]))
-    return "".join(pieces)
 
 
 COUNTED = [
