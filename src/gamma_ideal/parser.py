@@ -1,6 +1,6 @@
 """Expression parser for polynomials in s and the Gamma placeholders G(k).
 
-Recursive descent over the grammar
+The grammar is
 
     expr    := sign? term (('+'|'-') term)*
     term    := factor (('*'|'/') factor)*
@@ -17,43 +17,43 @@ nonzero constant — which covers rational literals like ``1/2`` without a
 separate literal rule.  Everything the canonical printer emits round-trips
 through this grammar.
 
-Positions in errors are 0-based character offsets into the input.
-Integer literals may have any number of digits; exponents and ``G(k)``
-indices are read with ``int`` and keep the interpreter's digit limit.
+One regular-expression pass splits the text into tokens, ``G(k)`` and
+``^e`` one token each, and one loop reads them, keeping a stack of the open
+parentheses.  A sum is one ``Sum`` node of its terms and their signs, a
+product one ``Product`` node of its factors and which of them divide, and a
+lone term or factor stands for itself; so the depth of the tree grows with
+the nesting of parentheses, not with the length of the text.  Nesting
+deeper than ``MAX_NESTING`` is a ``ParseError``.
 
-``G(k)`` indices are bound while parsing: the parser notes the first index
-out of range for the declared arity and reports it once the whole text has
-parsed, so a syntax error anywhere wins and otherwise the error names the
-first unbound index in text order.
+Positions in errors are 0-based character offsets into the input.  Digits
+are ASCII, names are runs of letters (``str.isalpha``) and any other
+character but whitespace and ``+-*/^(),`` is a stray.  Integer literals may
+have any number of digits; exponents and ``G(k)`` indices are read with
+``int`` and keep the interpreter's digit limit.  A stray anywhere is the
+error, else the first syntax error, else the first ``G(k)`` index out of
+range for the declared arity, in text order.
 
-Sums and products are left-deep chains of binary nodes, one node per
-operator, and lowering walks those chains with loops, so a flat sum of any
-length parses.  Only parentheses nest, and nesting deeper than
-``MAX_NESTING`` is a ``ParseError``.  So is a ``^`` whose result would have
-a degree in ``s`` above ``MAX_S_DEGREE``, reported at the ``^`` when the
-power is lowered.
-
-Lowering folds the single-term factors of a product chain (literals, ``s``,
-``G(k)``, their powers, and any parenthesised factor that comes out as one
-term) into one running term: a Gaussian-integer scalar over a denominator,
-an ``s`` degree and a Gamma exponent list.  Division by a constant folds
-into the scalar.  The term is built once, and only the chain's parenthesised
-sums are multiplied in as polynomials, in chain order; multiplying by a
-single term keeps the order of the terms, so the result has the term order
-that multiplying factor by factor from the left gives.
+Lowering folds each product into one running term (a Gaussian-integer
+scalar over a denominator, an ``s`` degree and a Gamma exponent list) and
+adds it straight into the sum's ``TermSums``.  Division by a constant folds
+into the scalar; any other divisor is a ``ParseError`` at its ``/``, and so
+is a ``^`` whose degree in ``s`` would pass ``MAX_S_DEGREE``, at the ``^``.
+Only parenthesised sums are multiplied in as polynomials, in factor order;
+multiplying by one term keeps the order of the terms, so the term order is
+that of multiplying factor by factor from the left.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple, Union
+import re
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ._record import Record, setfield
-from .poly import GammaPoly, UniPoly, signed_sum
+from .poly import GammaPoly, TermSums, UniPoly
 from .scalars import I, GaussianRational, decimal_int
 
-#: Deepest parenthesis nesting accepted; parsing and lowering recurse once
-#: per level.
+#: Deepest parenthesis nesting accepted; lowering recurses once per level.
 MAX_NESTING = 100
 
 #: Highest degree in ``s`` that a ``^`` may produce; lowering stores a
@@ -74,18 +74,28 @@ class ParseError(ValueError):
 # AST
 
 
-class Lit(Record):
+class _Node(Record):
+    """A tree node: immutable, and so are its parts, so a deep copy of a
+    node is the node itself, however deep the tree under it."""
+
+    __slots__ = ()
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class Lit(_Node):
     __slots__ = _fields = ("value",)
 
     def __init__(self, value: GaussianRational):
         setfield(self, "value", value)
 
 
-class SVar(Record):
+class SVar(_Node):
     __slots__ = ()
 
 
-class GammaRef(Record):
+class GammaRef(_Node):
     __slots__ = _fields = ("index", "pos")
     _compared = ("index",)
 
@@ -94,44 +104,7 @@ class GammaRef(Record):
         setfield(self, "pos", pos)
 
 
-class _Binary(Record):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: ExprAst, right: ExprAst):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-
-
-class Add(_Binary):
-    __slots__ = ()
-
-
-class Sub(_Binary):
-    __slots__ = ()
-
-
-class Mul(_Binary):
-    __slots__ = ()
-
-
-class Div(Record):
-    __slots__ = _fields = ("left", "right", "pos")
-    _compared = ("left", "right")
-
-    def __init__(self, left: ExprAst, right: ExprAst, pos: int = -1):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-        setfield(self, "pos", pos)
-
-
-class Neg(Record):
-    __slots__ = _fields = ("operand",)
-
-    def __init__(self, operand: ExprAst):
-        setfield(self, "operand", operand)
-
-
-class Pow(Record):
+class Pow(_Node):
     __slots__ = _fields = ("base", "exponent", "pos")
     _compared = ("base", "exponent")
 
@@ -141,282 +114,308 @@ class Pow(Record):
         setfield(self, "pos", pos)
 
 
-ExprAst = Union[Lit, SVar, GammaRef, Add, Sub, Mul, Div, Neg, Pow]
+class Product(_Node):
+    """Factors multiplied in order; the factors at the indices in
+    ``divides`` divide instead, and ``pos`` holds where their '/' stand."""
+
+    __slots__ = _fields = ("factors", "divides", "pos")
+    _compared = ("factors", "divides")
+
+    def __init__(self, factors: tuple, divides: Tuple[int, ...] = (), pos: Optional[tuple] = None):
+        setfield(self, "factors", factors)
+        setfield(self, "divides", divides)
+        setfield(self, "pos", (-1,) * len(divides) if pos is None else pos)
+
+
+class Sum(_Node):
+    """Terms added in order, each with its sign, 1 or -1."""
+
+    __slots__ = _fields = ("terms", "signs")
+
+    def __init__(self, terms: tuple, signs: Tuple[int, ...]):
+        setfield(self, "terms", terms)
+        setfield(self, "signs", signs)
+
+
+ExprAst = Union[Lit, SVar, GammaRef, Pow, Product, Sum]
+
+_S = SVar()
+_I = Lit(I)
+_LEAVES = (Lit, SVar, GammaRef)
 
 
 # ---------------------------------------------------------------------------
-# lexer
+# parser
 
-_SYMBOLS = set("+-*/^(),")
-#: Only ASCII digits: ``str.isdigit`` also accepts superscripts and other
-#: scripts' digits, which ``int`` then rejects or silently reads.
-_DIGITS = set("0123456789")
-
-
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    """(kind, value, position) triples; kinds are INT, NAME, SYM, END."""
-    tokens: List[Tuple[str, str, int]] = []
-    k = 0
-    while k < len(text):
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        if ch in _DIGITS:
-            start = k
-            while k < len(text) and text[k] in _DIGITS:
-                k += 1
-            tokens.append(("INT", text[start:k], start))
-            continue
-        if ch.isalpha():
-            start = k
-            while k < len(text) and text[k].isalpha():
-                k += 1
-            tokens.append(("NAME", text[start:k], start))
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(("SYM", ch, k))
-            k += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", k)
-    tokens.append(("END", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, arity: int):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.depth = 0
-        self.arity = arity
-        #: The first out-of-range ``G(k)`` as (index, position), reported
-        #: only if the whole text parses.
-        self.unbound: Optional[Tuple[int, int]] = None
-
-    def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> Tuple[str, str, int]:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def accept_sym(self, *symbols: str) -> Union[str, None]:
-        kind, value, _ = self.peek()
-        if kind == "SYM" and value in symbols:
-            self.advance()
-            return value
-        return None
-
-    def expect_sym(self, symbol: str) -> None:
-        kind, value, pos = self.peek()
-        if kind != "SYM" or value != symbol:
-            raise ParseError(f"expected {symbol!r}, found {value or 'end of input'!r}", pos)
-        self.advance()
-
-    def expect_uint(self, what: str) -> Tuple[int, int]:
-        kind, value, pos = self.peek()
-        if kind != "INT":
-            raise ParseError(f"expected {what}, found {value or 'end of input'!r}", pos)
-        self.advance()
-        return int(value), pos
-
-    # -- grammar rules
-
-    def parse_expr(self) -> ExprAst:
-        sign = self.accept_sym("+", "-")
-        node = self.parse_term()
-        if sign == "-":
-            node = Neg(node)
-        while True:
-            op = self.accept_sym("+", "-")
-            if op is None:
-                return node
-            right = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-
-    def parse_term(self) -> ExprAst:
-        node = self.parse_factor()
-        while True:
-            _, _, pos = self.peek()
-            op = self.accept_sym("*", "/")
-            if op is None:
-                return node
-            right = self.parse_factor()
-            node = Mul(node, right) if op == "*" else Div(node, right, pos=pos)
-
-    def parse_factor(self) -> ExprAst:
-        node = self.parse_atom()
-        _, _, pos = self.peek()
-        if self.accept_sym("^"):
-            exponent, _ = self.expect_uint("a non-negative integer exponent")
-            node = Pow(node, exponent, pos=pos)
-        return node
-
-    def _postfix_i(self, node: ExprAst) -> ExprAst:
-        kind, value, _ = self.peek()
-        if kind == "NAME" and value == "i":
-            self.advance()
-            return Mul(node, Lit(I))
-        return node
-
-    def parse_atom(self) -> ExprAst:
-        kind, value, pos = self.peek()
-        if kind == "INT":
-            self.advance()
-            return self._postfix_i(Lit(GaussianRational(decimal_int(value))))
-        if kind == "NAME":
-            if value == "s":
-                self.advance()
-                return SVar()
-            if value == "i":
-                self.advance()
-                return Lit(I)
-            if value == "G":
-                self.advance()
-                self.expect_sym("(")
-                index, ipos = self.expect_uint("a gamma index")
-                self.expect_sym(")")
-                if self.unbound is None and not 0 <= index < self.arity:
-                    self.unbound = (index, ipos)
-                return GammaRef(index, pos=ipos)
-            raise ParseError(f"unknown name {value!r}", pos)
-        if kind == "SYM" and value == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", pos
-                )
-            self.advance()
-            self.depth += 1
-            node = self.parse_expr()
-            self.depth -= 1
-            self.expect_sym(")")
-            return self._postfix_i(node)
-        raise ParseError(
-            f"expected a value, found {value or 'end of input'!r}", pos
-        )
+#: One token and the whitespace after it.  Groups: 2 an operator or a
+#: parenthesis, 3 and 4 the gap before and the index of a whole ``G(k)``, 5
+#: the exponent of a whole ``^e``, 6 an integer, 7 a name; anything else is
+#: one character.  ``[^\W\d_]`` also takes the numeric characters that are
+#: not digits, strays that ``parse_poly`` reports.
+_TOKEN = re.compile(
+    r"((?:([-+*/()])|G(\s*\(\s*)([0-9]+)\s*\)|\^\s*([0-9]+)|([0-9]+)|([^\W\d_]+)|.)\s*)", re.S
+)
+#: A token as an error message names it: digits, a name, one character, or
+#: nothing at the end.
+_WORD = re.compile(r"\s*(([0-9]+)|[^\W\d_]+|.?)", re.S)
+#: Candidates for a stray character; letters among them are not.
+_ODD = re.compile(r"[^\s0-9A-Za-z+\-*/^(),]")
 
 
 def parse_poly(text: str, arity: int) -> ExprAst:
     """Parse an expression and bind its G(k) references against ``arity``."""
     if not text.strip():
         raise ParseError("empty input", 0)
-    parser = _Parser(text, arity)
-    node = parser.parse_expr()
-    kind, value, pos = parser.peek()
-    if kind != "END":
-        raise ParseError(f"unexpected trailing input {value!r}", pos)
-    if parser.unbound is not None:
-        index, pos = parser.unbound
-        raise ParseError(
-            f"gamma index {index} out of range for {arity} declared shifts",
-            pos,
-        )
+    try:
+        node, unbound = _parse(text, arity)
+    except ValueError:
+        for match in _ODD.finditer(text):
+            if not match[0].isalpha():
+                raise ParseError(f"unexpected character {match[0]!r}", match.start()) from None
+        raise
+    if unbound is not None:
+        index, pos = unbound
+        raise ParseError(f"gamma index {index} out of range for {arity} declared shifts", pos)
     return node
+
+
+def _parse(text: str, arity: int) -> Tuple[ExprAst, Optional[Tuple[int, int]]]:
+    """The tree, and the first out-of-range ``G(k)`` as (index, position)."""
+    stack = []  # per open '(': the enclosing sum and product so far
+    terms, signs, sign = [], [], 1  # the sum being read
+    factors, divides, slashes = [], [], []  # the product being read
+    atom = None  # the factor just read, until an operator takes it
+    tail = 0  # what may follow ``atom``: 2 a postfix i or a ^, 1 a ^, 0 neither
+    opening = True  # no term read yet at this level, so a sign may come
+    unbound = None
+    literals = {}
+    pos = len(text) - len(text.lstrip())
+    for token, op, gap, index, exponent, digits, name in _TOKEN.findall(text, pos):
+        at = pos
+        pos += len(token)
+        if op:
+            if atom is None:
+                if op == "(":
+                    if len(stack) == MAX_NESTING:
+                        raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", at)
+                    stack.append((terms, signs, sign, factors, divides, slashes))
+                    terms, signs, sign, factors, divides, slashes = [], [], 1, [], [], []
+                    opening = True
+                    continue
+                if opening and op in "+-":
+                    sign = 1 if op == "+" else -1
+                    opening = False
+                    continue
+                raise _expected("a value", text, at)
+            if op == "(" or op == ")" and not stack:
+                raise _after_value(text, at, stack)
+            factors.append(atom)
+            atom = None
+            opening = False
+            if op == "*":
+                continue
+            if op == "/":
+                divides.append(len(factors))
+                slashes.append(at)
+                continue
+            terms.append(_product(factors, divides, slashes))
+            signs.append(sign)
+            factors, divides, slashes = [], [], []
+            if op == ")":
+                atom, tail = _sum(terms, signs), 2
+                terms, signs, sign, factors, divides, slashes = stack.pop()
+            else:
+                sign = 1 if op == "+" else -1
+        elif atom is None:
+            if index:
+                atom, tail = GammaRef(int(index), at + 1 + len(gap)), 1
+                if unbound is None and not 0 <= atom.index < arity:
+                    unbound = (atom.index, atom.pos)
+            elif digits:
+                atom, tail = literals.get(digits), 2
+                if atom is None:
+                    atom = literals[digits] = Lit(GaussianRational._of(decimal_int(digits), 0, 1))
+            elif name == "s" or name == "i":
+                atom, tail = _S if name == "s" else _I, 1
+            elif name == "G":
+                raise _gamma_error(text, at + 1)
+            elif name:
+                raise ParseError(f"unknown name {name!r}", at)
+            else:
+                raise _expected("a value", text, at)
+        elif exponent and tail:
+            atom, tail = Pow(atom, int(exponent), at), 0
+        elif name == "i" and tail == 2:
+            atom, tail = Product((atom, _I)), 1
+        elif token[0] == "^" and tail:
+            raise _expected("a non-negative integer exponent", text, at + 1)
+        else:
+            raise _after_value(text, at, stack)
+    if atom is None:
+        raise _expected("a value", text, pos)
+    if stack:
+        raise _expected("')'", text, pos)
+    factors.append(atom)
+    terms.append(_product(factors, divides, slashes))
+    signs.append(sign)
+    return _sum(terms, signs), unbound
+
+
+def _product(factors: list, divides: list, slashes: list) -> ExprAst:
+    if len(factors) == 1:
+        return factors[0]
+    return Product(tuple(factors), tuple(divides), tuple(slashes))
+
+
+def _sum(terms: list, signs: list) -> ExprAst:
+    return terms[0] if len(terms) == 1 and signs[0] == 1 else Sum(tuple(terms), tuple(signs))
+
+
+def _expected(what: str, text: str, pos: int) -> ParseError:
+    """The error for the token at or after ``pos`` where ``what`` belongs."""
+    match = _WORD.match(text, pos)
+    return ParseError(f"expected {what}, found {match[1] or 'end of input'!r}", match.start(1))
+
+
+def _after_value(text: str, pos: int, nested: list) -> ParseError:
+    """The error for a token that no operator joins to the value before it."""
+    if nested:
+        return _expected("')'", text, pos)
+    match = _WORD.match(text, pos)
+    return ParseError(f"unexpected trailing input {match[1]!r}", match.start(1))
+
+
+def _gamma_error(text: str, pos: int) -> ParseError:
+    """The error for a ``G`` at ``pos - 1`` that no ``(index)`` follows."""
+    match = _WORD.match(text, pos)
+    if match[1] != "(":
+        return _expected("'('", text, pos)
+    match = _WORD.match(text, match.end())
+    if not match[2]:
+        return _expected("a gamma index", text, match.start())
+    int(match[2])  # past the digit limit this raises, as reading the index does
+    return _expected("')'", text, match.end())
+
+
+# ---------------------------------------------------------------------------
+# lowering
 
 
 def lower_to_poly(node: ExprAst, arity: int) -> GammaPoly:
     """Evaluate an AST into the polynomial ring."""
-    if isinstance(node, (Add, Sub)):
+    if isinstance(node, Sum):
         return _lower_sum(node, arity)
-    if isinstance(node, (Mul, Div, Lit, SVar, GammaRef, Pow)):
-        return _lower_product(node, arity)
-    if isinstance(node, Neg):
-        return -lower_to_poly(node.operand, arity)
-    raise TypeError(f"not an expression node: {node!r}")
+    term = _fold(node, arity)
+    if isinstance(term, GammaPoly):
+        return term
+    re, im, den, power, exponents = term
+    terms = {tuple(exponents): _coefficient(re, im, den, power)} if re or im else {}
+    return GammaPoly._build(arity, terms)
 
 
-def _left_chain(node: ExprAst, kinds: tuple) -> Tuple[ExprAst, List[ExprAst]]:
-    """The leftmost operand of a left-deep chain of ``kinds`` nodes and the
-    chain's nodes, innermost first."""
-    chain = []
-    while isinstance(node, kinds):
-        chain.append(node)
-        node = node.left
-    chain.reverse()
-    return node, chain
+def _lower_sum(node: Sum, arity: int) -> GammaPoly:
+    """The signed terms added into one term map, each folded term as one
+    coefficient."""
+    sums = TermSums()
+    for term, sign in zip(node.terms, node.signs):
+        term = _fold(term, arity)
+        if isinstance(term, GammaPoly):
+            for mono, coeff in term._terms.items():
+                sums.add(mono, coeff if sign > 0 else -coeff)
+            continue
+        re, im, den, power, exponents = term
+        if re or im:
+            sums.add(tuple(exponents), _coefficient(sign * re, sign * im, den, power))
+    return GammaPoly._build(arity, sums.terms())
 
 
-def _lower_sum(node: ExprAst, arity: int) -> GammaPoly:
-    """A chain of '+' and '-', summed into one term map."""
-    first, chain = _left_chain(node, (Add, Sub))
-    parts = [(1, lower_to_poly(first, arity))]
-    for op in chain:
-        parts.append((1 if isinstance(op, Add) else -1, lower_to_poly(op.right, arity)))
-    return signed_sum(arity, parts)
+def _coefficient(re: int, im: int, den: int, power: int) -> UniPoly:
+    """``(re + im*i)/den * s^power``, with ``den`` positive."""
+    return UniPoly._canonical([(0, 0)] * power + [(re, im)], den)
 
 
-#: One factor of a product as a single term: scalar ``(re + im*i)/den`` with
-#: ``den`` positive, the power of ``s``, and ``(index, exponent)`` pairs with
-#: nonzero exponents.
-_Term = Tuple[int, int, int, int, Tuple[Tuple[int, int], ...]]
+#: A product folded into one term: scalar ``(re + im*i)/den`` with ``den``
+#: positive, the power of ``s`` and the exponent of each ``G(k)``.
+_Term = Tuple[int, int, int, int, Sequence[int]]
 
 
-def _lower_product(node: ExprAst, arity: int) -> GammaPoly:
-    """A chain of '*' and '/' (or a lone factor): its single-term factors
-    folded into one term, then its other factors multiplied in, in chain
-    order."""
-    first, chain = _left_chain(node, (Mul, Div))
+def _fold(node: ExprAst, arity: int) -> Union[_Term, GammaPoly]:
+    """A product, or a lone factor, as one term when it is one: its
+    single-term factors folded into one term in factor order, then its other
+    factors multiplied in, in factor order."""
+    if isinstance(node, Product):
+        factors, divides = node.factors, node.divides
+    else:
+        factors, divides = (node,), ()
     re, im, den, power = 1, 0, 1, 0
     exponents = [0] * arity
     polys: List[GammaPoly] = []
-    for op, factor in [(None, first)] + [(op, op.right) for op in chain]:
-        term = _factor_term(factor, arity)
-        if isinstance(op, Div):
-            term = _inverse(term)
+    for k, factor in enumerate(factors):
+        if divides and k in divides:
+            term = _inverse(_fold(factor, arity))
             if term is None:
-                raise ParseError("division is only defined by a nonzero constant", op.pos)
+                raise ParseError(
+                    "division is only defined by a nonzero constant", node.pos[divides.index(k)]
+                )
+        else:
+            exponent = 1
+            if type(factor) is Pow:
+                base, e = factor.base, factor.exponent
+                if type(base) in _LEAVES and isinstance(e, int) and e >= 0:
+                    if type(base) is SVar:
+                        _check_s_degree(factor, 1)
+                    factor, exponent = base, e
+            kind = type(factor)
+            if kind is GammaRef:
+                index = factor.index
+                if not 0 <= index < arity:
+                    raise ValueError(f"variable index {index} out of range for arity {arity}")
+                exponents[index] += exponent
+                continue
+            if kind is SVar:
+                power += exponent
+                continue
+            if kind is Lit:
+                value = factor.value if exponent == 1 else factor.value**exponent
+                re, im = re * value.re - im * value.im, re * value.im + im * value.re
+                den *= value.den
+                continue
+            term = _nested(factor, arity)
         if isinstance(term, GammaPoly):
             polys.append(term)
             continue
-        f_re, f_im, f_den, f_power, gammas = term
+        f_re, f_im, f_den, f_power, f_exponents = term
         re, im = re * f_re - im * f_im, re * f_im + im * f_re
         den *= f_den
         power += f_power
-        for index, exponent in gammas:
+        for index, exponent in enumerate(f_exponents):
             exponents[index] += exponent
+    if not polys:
+        return re, im, den, power, exponents
     if not (re or im):
         return GammaPoly._build(arity, {})
-    if polys and re == den and not im and not power and not any(exponents):
+    if re == den and not im and not power and not any(exponents):
         # Multiplying by 1 would only copy the first polynomial factor.
         product = polys.pop(0)
     else:
-        coeff = UniPoly._canonical([(0, 0)] * power + [(re, im)], den)
-        product = GammaPoly._build(arity, {tuple(exponents): coeff})
+        product = GammaPoly._build(arity, {tuple(exponents): _coefficient(re, im, den, power)})
     for poly in polys:
         product = product * poly
     return product
 
 
-def _factor_term(node: ExprAst, arity: int) -> Union[_Term, GammaPoly]:
-    """One factor of a product as a single term when it is one, else as a
-    polynomial."""
-    exponent = 1
-    if (
-        isinstance(node, Pow)
-        and isinstance(node.base, (Lit, SVar, GammaRef))
-        and isinstance(node.exponent, int)
-        and node.exponent >= 0
-    ):
-        if isinstance(node.base, SVar):
-            _check_s_degree(node, 1)
-        node, exponent = node.base, node.exponent
-    if isinstance(node, Lit):
-        value = node.value if exponent == 1 else node.value**exponent
-        return value.re, value.im, value.den, 0, ()
-    if isinstance(node, SVar):
-        return 1, 0, 1, exponent, ()
-    if isinstance(node, GammaRef):
-        index = node.index
-        if not 0 <= index < arity:
-            raise ValueError(f"variable index {index} out of range for arity {arity}")
-        return 1, 0, 1, 0, ((index, exponent),) if exponent else ()
+def _nested(node: ExprAst, arity: int) -> Union[_Term, GammaPoly]:
+    """A parenthesised product or sum, or a power of one, as one term when
+    it is one."""
+    if isinstance(node, Product):
+        return _fold(node, arity)
+    if isinstance(node, Sum):
+        return _single_term(_lower_sum(node, arity))
     if isinstance(node, Pow):
         base = lower_to_poly(node.base, arity)
         _check_s_degree(node, max((c.degree for c in base._terms.values()), default=0))
         return _single_term(base**node.exponent)
-    return _single_term(lower_to_poly(node, arity))
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _check_s_degree(node: Pow, base_degree: int) -> None:
@@ -430,26 +429,25 @@ def _single_term(p: GammaPoly) -> Union[_Term, GammaPoly]:
     """``p`` as a ``_Term`` when it is zero or one scalar times powers of
     ``s`` and the ``G(k)``, else ``p`` itself."""
     if not p._terms:
-        return 0, 0, 1, 0, ()
+        return 0, 0, 1, 0, (0,) * p.arity
     if len(p._terms) != 1:
         return p
     [(mono, coeff)] = p._terms.items()
     *lower, (re, im) = coeff._num
     if any(r or i for r, i in lower):
         return p
-    gammas = tuple((index, e) for index, e in enumerate(mono) if e)
-    return re, im, coeff._den, len(lower), gammas
+    return re, im, coeff._den, len(lower), mono
 
 
 def _inverse(term: Union[_Term, GammaPoly]) -> Optional[_Term]:
     """The inverse of a nonzero constant, else None."""
     if isinstance(term, GammaPoly):
         return None
-    re, im, den, power, gammas = term
-    if power or gammas or not (re or im):
+    re, im, den, power, exponents = term
+    if power or any(exponents) or not (re or im):
         return None
     # den / (re + im*i) = den * (re - im*i) / (re^2 + im^2)
-    return re * den, -im * den, re * re + im * im, 0, ()
+    return re * den, -im * den, re * re + im * im, 0, exponents
 
 
 def parse_gamma_poly(text: str, arity: int) -> GammaPoly:

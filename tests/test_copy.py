@@ -1,6 +1,7 @@
 """The value types survive ``pickle`` and ``copy.deepcopy`` unchanged, and
 the record types keep the equality, hashing, ``repr`` and immutability of
-frozen dataclasses."""
+frozen dataclasses.  The tree of a sum of any length, and of text nested
+``MAX_NESTING`` deep, does all of that without a ``RecursionError``."""
 
 import copy
 import pickle
@@ -12,11 +13,12 @@ import gamma_ideal.parser as parser
 from gamma_ideal.ideal import decide_membership
 from gamma_ideal.numeric import verify_verdict
 from gamma_ideal.parser import (
-    Add, Div, GammaRef, Lit, Mul, Neg, Pow, SVar, Sub, parse_gamma_poly, parse_poly, parse_shifts,
+    MAX_NESTING, GammaRef, Lit, Pow, Product, Sum, SVar, parse_gamma_poly, parse_poly, parse_shifts,
 )
 from gamma_ideal.poly import UniPoly
 from gamma_ideal.scalars import GaussianRational
 from gamma_ideal.shifts import build_shift_system
+from strategies import flat_sum
 
 SYSTEM = build_shift_system(parse_shifts("0,1,2,1/2"))
 SYSTEM.generators()  # cached on the instance, so copied along with it
@@ -58,7 +60,10 @@ def test_ast_repr_evaluates_back():
 
 def test_nodes_of_different_types_are_unequal():
     x, y = SVar(), GammaRef(0)
-    nodes = [Add(x, y), Sub(x, y), Mul(x, y), Div(x, y), Pow(x, 2), Neg(x)]
+    nodes = [
+        Sum((x, y), (1, 1)), Sum((x, y), (1, -1)), Sum((x,), (-1,)), Product((x, y)),
+        Product((x, y), (1,)), Pow(x, 2), x, y,
+    ]
     for k, node in enumerate(nodes):
         assert [other == node for other in nodes] == [j == k for j in range(len(nodes))]
     assert Lit(GaussianRational(2)) != Pow(Lit(GaussianRational(2)), 1)
@@ -68,7 +73,7 @@ def test_nodes_of_different_types_are_unequal():
     "first, second",
     [
         (GammaRef(1, pos=3), GammaRef(1, pos=9)),
-        (Div(SVar(), GammaRef(0), pos=1), Div(SVar(), GammaRef(0, pos=5))),
+        (Product((SVar(), GammaRef(0)), (1,), (1,)), Product((SVar(), GammaRef(0, pos=5)), (1,))),
         (Pow(SVar(), 4, pos=2), Pow(SVar(), 4)),
     ],
 )
@@ -87,3 +92,29 @@ def test_records_are_immutable(value):
     with pytest.raises(AttributeError):
         value.extra = None
     assert not hasattr(value, "__dict__")
+
+
+def nested_text(level: str, depth: int) -> str:
+    """``level`` with ``{}`` replaced ``depth`` times by itself, then by s."""
+    text = "s"
+    for _ in range(depth):
+        text = level.format(text)
+    return text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        flat_sum(5000, seed=1),
+        nested_text("({}+G(1)-s*G(0)+2*s^2-G(1)^3/3)", MAX_NESTING),
+        nested_text("(1+s*{})", MAX_NESTING),
+    ],
+    ids=["flat-5000", "nested-sums", "horner"],
+)
+def test_long_and_deep_trees_round_trip(text):
+    ast = parse_poly(text, 4)
+    rebuilt = parse_poly(text, 4)
+    assert rebuilt == ast and hash(rebuilt) == hash(ast) and repr(rebuilt) == repr(ast)
+    for again in [pickle.loads(pickle.dumps(ast)), copy.deepcopy(ast)]:
+        assert type(again) is type(ast) and again == ast and repr(again) == repr(ast)
+        assert hash(again) == hash(ast)

@@ -4,7 +4,8 @@ Each case runs in a fresh interpreter with ``PYTHONPATH=src`` and compares
 ``sys.modules`` at exit against a bare ``python -c pass``: the decision
 procedure (``gamma_ideal.ideal``), the numeric oracle
 (``gamma_ideal.numeric``), ``json``, ``dataclasses`` and ``fractions`` are
-loaded only by the commands that use them.
+loaded only by the commands that use them.  The parser's tokenizer uses
+``re``, which ``argparse`` loads anyway, even without the site packages.
 """
 
 import os
@@ -91,6 +92,22 @@ def test_human_output_loads_no_json(argv):
 def test_commands_load_what_they_run(argv, expected):
     # the probe sees the modules a command does load
     assert expected <= added_by(*argv)
+
+
+def modules_without_site(probe: str) -> set:
+    """Every module loaded at the end of ``python -S -c probe``."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys\n{probe}\nprint(*sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    return set(done.stdout.split())
+
+
+def test_argparse_loads_re_without_site():
+    # So the parser's tokenizer adds no module to a CLI run, also on a host
+    # where no site-packages hook loads re first.
+    assert "re" not in modules_without_site("pass")
+    assert "re" in modules_without_site("import argparse")
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -1,20 +1,52 @@
-"""Lowering folds each product into one term.
+"""A flat sum parses into a shallow tree and lowers into one term map.
 
-A flat sum of monomials ``c*s^k*G(0)^e0*...`` lowers without multiplying
+The tree of a sum is one node of its terms, and of a product one node of
+its factors, so its depth does not grow with the length of the text.  A
+flat sum of monomials ``c*s^k*G(0)^e0*...`` lowers without multiplying
 polynomials: every factor of a product folds into one running scalar,
-``s`` degree and exponent list, and the term is built once, without the
+``s`` degree and exponent list, each product's term goes straight into the
+sum's term map, and the polynomial is built once, at the end, without the
 public checked constructor.  Only a parenthesised sum is multiplied in as a
 polynomial.
 """
 
 import pytest
 
+from gamma_ideal._record import Record
 from gamma_ideal.parser import lower_to_poly, parse_poly
 from gamma_ideal.poly import GammaPoly, UniPoly
 from strategies import flat_sum
 from test_output_cost import counter
 
 ARITY = 4
+
+
+def depth(node: Record) -> int:
+    """Edges on the longest path down from ``node``; iterative."""
+    deepest, stack = 0, [(node, 0)]
+    while stack:
+        node, below = stack.pop()
+        deepest = max(deepest, below)
+        for name in node._fields:
+            value = getattr(node, name)
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, Record):
+                    stack.append((child, below + 1))
+    return deepest
+
+
+@pytest.mark.parametrize("terms", [10, 5000])
+def test_flat_sum_tree_is_shallow(terms):
+    # the sum, a product, a power and its base
+    assert depth(parse_poly(flat_sum(terms, seed=terms), ARITY)) <= 3
+
+
+@pytest.mark.parametrize("terms", [10, 800])
+def test_flat_sum_builds_one_polynomial(monkeypatch, terms):
+    ast = parse_poly(flat_sum(terms, seed=terms), ARITY)
+    built = counter(monkeypatch, GammaPoly, "_build")
+    lower_to_poly(ast, ARITY)
+    assert len(built) == 1
 
 
 COUNTED = [

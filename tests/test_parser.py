@@ -1,23 +1,19 @@
 from fractions import Fraction
-from typing import Iterator, List, Tuple, Union
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_parser
 from gamma_ideal.parser import (
     MAX_NESTING,
-    Add,
-    Div,
-    ExprAst,
     GammaRef,
     Lit,
-    Mul,
-    Neg,
     ParseError,
     Pow,
+    Product,
+    Sum,
     SVar,
-    Sub,
     lower_to_poly,
     parse_complex,
     parse_gamma_poly,
@@ -47,9 +43,29 @@ def test_recurrence_generator_parses():
     assert p == expected
 
 
+def lit(value) -> Lit:
+    return Lit(to_scalar(value))
+
+
 def test_ast_shape_for_a_small_expression():
     ast = parse_poly("-s^2 + 2*G(0)", 1)
-    assert ast == Add(Neg(Pow(SVar(), 2)), Mul(Lit(to_scalar(2)), GammaRef(0)))
+    assert ast == Sum((Pow(SVar(), 2), Product((lit(2), GammaRef(0)))), (-1, 1))
+
+
+@pytest.mark.parametrize(
+    "text, ast",
+    [
+        ("+s", SVar()),
+        ("-s", Sum((SVar(),), (-1,))),
+        ("((s))", SVar()),
+        ("G(0)/2*s", Product((GammaRef(0), lit(2), SVar()), (1,))),
+        ("2i^3", Pow(Product((lit(2), Lit(I))), 3)),
+        ("(1+i)i*G(0)", Product((Product((Sum((lit(1), Lit(I)), (1, 1)), Lit(I))), GammaRef(0)))),
+        ("(s-1)*(G(0))", Product((Sum((SVar(), lit(1)), (1, -1)), GammaRef(0)))),
+    ],
+)
+def test_lone_terms_and_factors_stand_for_themselves(text, ast):
+    assert parse_poly(text, 1) == ast
 
 
 def test_gamma_index_out_of_range():
@@ -296,100 +312,12 @@ def test_canonical_corpus_round_trips(text):
     assert parse_gamma_poly(gamma_poly_text(p), 3) == p
 
 
-# -- lowering against the factor-by-factor reference
+# -- the parent's parser as a reference
 #
-# ``reference_lower`` is the lowering that multiplied a product chain one
-# factor at a time, each factor its own polynomial, and ``reference_bind``
-# the separate binding pass over the finished tree.  The folded lowering and
-# the binding during the parse must give the same term storage, the same
-# term order and the same errors.
-
-
-def reference_walk(node: ExprAst) -> Iterator[ExprAst]:
-    """Every node in pre-order, left operands first; iterative."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        for name in ("base", "operand", "right", "left"):
-            child = getattr(node, name, None)
-            if child is not None:
-                stack.append(child)
-
-
-def reference_bind(text: str, arity: int) -> ExprAst:
-    node = parse_poly(text, 1 << 62)  # syntax only
-    for sub in reference_walk(node):
-        if isinstance(sub, GammaRef) and not 0 <= sub.index < arity:
-            raise ParseError(
-                f"gamma index {sub.index} out of range for {arity} declared shifts",
-                sub.pos,
-            )
-    return node
-
-
-def reference_lower(node: ExprAst, arity: int) -> GammaPoly:
-    """Evaluate an AST into the polynomial ring."""
-    if isinstance(node, (Add, Sub)):
-        return _reference_sum(node, arity)
-    if isinstance(node, (Mul, Div)):
-        return _reference_product(node, arity)
-    if isinstance(node, Lit):
-        return GammaPoly.constant(arity, UniPoly.constant(node.value))
-    if isinstance(node, SVar):
-        return s_var(arity)
-    if isinstance(node, GammaRef):
-        return GammaPoly.variable(arity, node.index)
-    if isinstance(node, Neg):
-        return -reference_lower(node.operand, arity)
-    if isinstance(node, Pow):
-        return reference_lower(node.base, arity) ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _reference_chain(node: ExprAst, kinds: tuple) -> Tuple[ExprAst, List[ExprAst]]:
-    chain = []
-    while isinstance(node, kinds):
-        chain.append(node)
-        node = node.left
-    chain.reverse()
-    return node, chain
-
-
-def _reference_sum(node: ExprAst, arity: int) -> GammaPoly:
-    first, chain = _reference_chain(node, (Add, Sub))
-    parts = [(1, reference_lower(first, arity))]
-    for op in chain:
-        parts.append((1 if isinstance(op, Add) else -1, reference_lower(op.right, arity)))
-    return signed_sum(arity, parts)
-
-
-def _reference_product(node: ExprAst, arity: int) -> GammaPoly:
-    """A chain of '*' and '/', multiplied from the left."""
-    first, chain = _reference_chain(node, (Mul, Div))
-    product = reference_lower(first, arity)
-    for op in chain:
-        factor = reference_lower(op.right, arity)
-        if isinstance(op, Mul):
-            product = product * factor
-            continue
-        scalar = _reference_constant(factor)
-        if scalar is None or scalar.is_zero():
-            raise ParseError("division is only defined by a nonzero constant", op.pos)
-        product = product * UniPoly.constant(ONE / scalar)
-    return product
-
-
-def _reference_constant(p: GammaPoly) -> Union[GaussianRational, None]:
-    if p.is_zero():
-        return to_scalar(0)
-    items = list(p.terms.items())
-    if len(items) != 1:
-        return None
-    mono, coeff = items[0]
-    if any(mono) or coeff.degree > 0:
-        return None
-    return coeff.coefficient(0)
+# ``reference_parser`` is the parser before sums and products became n-ary
+# nodes: its tokenizer, recursive descent and lowering, verbatim.  Every text
+# must have the same outcome under both: the same term storage and term
+# order, or the same error message and position.
 
 
 def storage(p: GammaPoly):
@@ -405,6 +333,11 @@ def outcome(parse, lower, text: str, arity: int):
         return ("ParseError", exc.message, exc.position)
     except ValueError as exc:
         return ("ValueError", str(exc))
+
+
+def assert_same_outcome(text: str, arity: int = 3):
+    expected = outcome(reference_parser.parse_poly, reference_parser.lower_to_poly, text, arity)
+    assert outcome(parse_poly, lower_to_poly, text, arity) == expected
 
 
 ARITY = 3
@@ -453,16 +386,59 @@ expression_texts = st.recursive(_ATOMS, _expressions, max_leaves=10)
 @settings(max_examples=200, deadline=None)
 @given(expression_texts)
 def test_lowering_matches_the_reference(text):
-    expected = outcome(reference_bind, reference_lower, text, ARITY)
+    assert_same_outcome(text)
+    expected = outcome(parse_poly, factorwise_lower, text, ARITY)
     assert outcome(parse_poly, lower_to_poly, text, ARITY) == expected
+
+
+# ``factorwise_lower`` multiplies a product one factor at a time, each factor
+# its own polynomial; the folded lowering must give the same term storage,
+# term order and division errors.
+
+
+def factorwise_lower(node, arity: int) -> GammaPoly:
+    if isinstance(node, Sum):
+        parts = [(sign, factorwise_lower(term, arity)) for term, sign in zip(node.terms, node.signs)]
+        return signed_sum(arity, parts)
+    if isinstance(node, Product):
+        product = factorwise_lower(node.factors[0], arity)
+        for k, factor in enumerate(node.factors[1:], 1):
+            factor = factorwise_lower(factor, arity)
+            if k not in node.divides:
+                product = product * factor
+                continue
+            scalar = _constant(factor)
+            if scalar is None or scalar.is_zero():
+                raise ParseError(
+                    "division is only defined by a nonzero constant", node.pos[node.divides.index(k)]
+                )
+            product = product * UniPoly.constant(ONE / scalar)
+        return product
+    if isinstance(node, Lit):
+        return GammaPoly.constant(arity, UniPoly.constant(node.value))
+    if isinstance(node, SVar):
+        return s_var(arity)
+    if isinstance(node, GammaRef):
+        return GammaPoly.variable(arity, node.index)
+    return factorwise_lower(node.base, arity) ** node.exponent
+
+
+def _constant(p: GammaPoly):
+    if p.is_zero():
+        return to_scalar(0)
+    items = list(p.terms.items())
+    if len(items) != 1:
+        return None
+    mono, coeff = items[0]
+    if any(mono) or coeff.degree > 0:
+        return None
+    return coeff.coefficient(0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(expression_texts, min_size=1, max_size=4), st.sampled_from("+-"))
 def test_flat_sums_of_products_match_the_reference(texts, op):
-    text = op.join(f"({t})*G(0)^2*s" if k % 2 else t for k, t in enumerate(texts))
-    expected = outcome(reference_bind, reference_lower, text, ARITY)
-    assert outcome(parse_poly, lower_to_poly, text, ARITY) == expected
+    assert_same_outcome(op.join(f"({t})*G(0)^2*s" if k % 2 else t for k, t in enumerate(texts)))
 
 
 @settings(deadline=None)
@@ -471,7 +447,33 @@ def test_printed_polynomials_lower_like_the_reference(p):
     text = gamma_poly_text(p)
     printed = [(mono, coeff._num, coeff._den) for mono, coeff in p.sorted_terms()]
     assert outcome(parse_poly, lower_to_poly, text, ARITY) == printed
-    assert outcome(reference_bind, reference_lower, text, ARITY) == printed
+    assert_same_outcome(text)
+
+
+@st.composite
+def mutated_texts(draw):
+    """An expression with whitespace put before some tokens, one character
+    replaced by junk, or one token dropped or doubled."""
+    text = draw(expression_texts)
+    spans = [(pos, pos + len(value)) for _, value, pos in reference_parser._tokenize(text)[:-1]]
+    how = draw(st.sampled_from(["space", "junk", "drop", "double"]))
+    if how == "space":
+        for start, _ in sorted(draw(st.lists(st.sampled_from(spans), min_size=1, max_size=4)), reverse=True):
+            text = text[:start] + draw(st.text(" \t\x1c", min_size=1, max_size=2)) + text[start:]
+        return text
+    if how == "junk":
+        k = draw(st.integers(0, len(text) - 1))
+        return text[:k] + draw(st.sampled_from("$._\u0663\u00b2\u00e9")) + text[k + 1 :]
+    start, end = draw(st.sampled_from(spans))
+    if how == "drop":
+        return text[:start] + text[end:]
+    return text[:end] + text[start:end] + text[end:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts())
+def test_mutated_texts_match_the_reference(text):
+    assert_same_outcome(text)
 
 
 @pytest.mark.parametrize(
@@ -485,11 +487,36 @@ def test_printed_polynomials_lower_like_the_reference(p):
         "G(1)*(s/2)", "s*2i*G(0)", "(2*G(0))^3*s", "(G(0)+G(1))^2*(G(0)-G(1))^2",
         "1/s", "G(0)/G(0)", "1/0", "s/(1-1)", "s/(s+1)", "(1/s)*(1/G(0))",
         "s*(1/G(1))/0", "G(0)/(2*s/s)", "G(0)/0^2", "(s+1)/(G(0)+1)",
+        # a postfix i follows only a literal or a parenthesis, and only once
+        "G(0)i", "s i", "i i", "2i i", "(s)i i", "G(1)^2i", "2^2i",
     ],
 )
 def test_corpus_lowers_like_the_reference(text):
-    expected = outcome(reference_bind, reference_lower, text, ARITY)
-    assert outcome(parse_poly, lower_to_poly, text, ARITY) == expected
+    assert_same_outcome(text)
+
+
+def reference_tree(node):
+    """The parent's tree for ``node``: left-deep chains of binary nodes."""
+    ref = reference_parser
+    if isinstance(node, Sum):
+        first, *rest = zip(node.signs, map(reference_tree, node.terms))
+        tree = first[1] if first[0] > 0 else ref.Neg(first[1])
+        for sign, term in rest:
+            tree = ref.Add(tree, term) if sign > 0 else ref.Sub(tree, term)
+        return tree
+    if isinstance(node, Product):
+        tree = reference_tree(node.factors[0])
+        for k, factor in enumerate(map(reference_tree, node.factors[1:]), 1):
+            if k in node.divides:
+                tree = ref.Div(tree, factor, pos=node.pos[node.divides.index(k)])
+            else:
+                tree = ref.Mul(tree, factor)
+        return tree
+    if isinstance(node, Pow):
+        return ref.Pow(reference_tree(node.base), node.exponent, pos=node.pos)
+    if isinstance(node, GammaRef):
+        return ref.GammaRef(node.index, pos=node.pos)
+    return ref.Lit(node.value) if isinstance(node, Lit) else ref.SVar()
 
 
 @pytest.mark.parametrize(
@@ -497,15 +524,15 @@ def test_corpus_lowers_like_the_reference(text):
     [
         GammaRef(5),
         Pow(GammaRef(5), 0),
-        Mul(Div(SVar(), SVar(), pos=1), GammaRef(5)),
-        Mul(GammaRef(5), Div(SVar(), SVar(), pos=1)),
+        Product((SVar(), SVar(), GammaRef(5)), (1,), (1,)),
+        Product((GammaRef(5), Product((SVar(), SVar()), (1,), (1,)))),
         Pow(SVar(), -1),
-        Pow(Add(SVar(), Lit(ONE)), -2),
+        Pow(Sum((SVar(), Lit(ONE)), (1, 1)), -2),
     ],
 )
 def test_hand_built_trees_fail_like_the_reference(node):
     # lower_to_poly takes trees that parse_poly never makes
-    expected = outcome(lambda n, _: n, reference_lower, node, 2)
+    expected = outcome(lambda n, _: reference_tree(n), reference_parser.lower_to_poly, node, 2)
     assert expected[0] in ("ParseError", "ValueError")
     assert outcome(lambda n, _: n, lower_to_poly, node, 2) == expected
 
