@@ -10,7 +10,8 @@ The corpus: the README examples, the criterion-8 texts as
 ``classes`` reports and duplicate-shift errors over out-of-order,
 interleaved, complex, negative and long shift lists, and the parser's
 edges after a ``--``: rejected and accepted texts, nesting at and past
-``MAX_NESTING`` and a 1200-term flat sum.  Each criterion-8 or chain text
+``MAX_NESTING``, a 1200-term flat sum, divisors and shift-list entries that
+are or are not constants once lowered.  Each criterion-8 or chain text
 that starts with ``-`` is pinned twice: as written, which argparse rejects
 as an unknown option, and after a ``--`` separator, which reaches the
 command.  The printed residuals are floating point, so the pinned bytes
@@ -57,6 +58,14 @@ PARSER_ERRORS = [
 PARSER_ACCEPTED = [
     "G(0)\t+\x1cs", "(1+i)i*G(0)", "2i^2*G(1)", "G (1) - s * G ( 0 )", "-(G(1)-s*G(0))",
 ]
+# Lowering edges: divisors that are or are not nonzero constants once
+# lowered, powers to the 0 as divisors, and a zero factor before a bad one.
+LOWERING_EDGES = [
+    "G(0)/(2*(1+i))", "G(0)/((s+1)-s)", "G(0)/(s-s)", "G(0)/0^0", "G(0)/G(1)^0", "G(0)/(2)^3",
+    "0*(s/(s+1))", "0*G(0)/(s-s)", "(1+i)*s*G(0)/(1-i)", "G(0)/(s^0*(2i))",
+]
+# Shift lists whose entries are or are not constants once lowered.
+SCALAR_EDGES = ["(1+i)/(1-i),0", "s,0", "0,(s-s)/2", "1/(2-2)"]
 
 
 def invoke(argv):
@@ -143,6 +152,10 @@ def corpus():
     for shifts in ["0, 1/2, (1+i)/2", "0,1/0", " , "]:
         argvs.append(["classes", shifts])
     argvs.append(["reduce", "--json", "0,1,1/3,2/3", flat_sum(1200, seed=1200)])
+    for text in LOWERING_EDGES:
+        argvs.append(["reduce", "--json", "--", "0,1", text])
+    for shifts in SCALAR_EDGES:
+        argvs.append(["classes", shifts, "--json"])
     unique = {json.dumps(argv): argv for argv in argvs}  # the random texts repeat some
     return list(unique.values())
 

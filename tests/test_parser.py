@@ -537,6 +537,12 @@ def test_hand_built_trees_fail_like_the_reference(node):
     assert outcome(lambda n, _: n, lower_to_poly, node, 2) == expected
 
 
+@pytest.mark.parametrize("value", [None, "G(0)", 3])
+def test_non_nodes_are_rejected(value):
+    with pytest.raises(TypeError, match="not an expression node"):
+        lower_to_poly(value, 1)
+
+
 def test_long_literals_round_trip():
     big = 7 * 10**4399 + 3
     p = GammaPoly(2, {(1, 0): UniPoly([Fraction(big, 10**4500 + 1), GaussianRational(0, big)])})
