@@ -14,7 +14,8 @@ class Record:
     """An immutable value with named fields.
 
     Records are equal when they have the same type and equal compared
-    fields, so ``Add(x, y) != Sub(x, y)``; the hash reads the same fields.
+    fields, so a ``Sum`` and a ``Product`` with the same parts are unequal;
+    the hash reads the same fields.
     ``repr`` lists every field, and pickling and copying rebuild a record
     from its fields through ``__init__``.
     """

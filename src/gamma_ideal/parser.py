@@ -33,27 +33,33 @@ have any number of digits; exponents and ``G(k)`` indices are read with
 error, else the first syntax error, else the first ``G(k)`` index out of
 range for the declared arity, in text order.
 
-Lowering folds each product into one running term (a Gaussian-integer
-scalar over a denominator, an ``s`` degree and a Gamma exponent list) and
-adds it straight into the sum's ``TermSums``.  Division by a constant folds
-into the scalar; any other divisor is a ``ParseError`` at its ``/``, and so
-is a ``^`` whose degree in ``s`` would pass ``MAX_S_DEGREE``, at the ``^``.
-Only parenthesised sums are multiplied in as polynomials, in factor order;
+Lowering is one walk over the tree.  A sum, or a lone node as a sum of one
+term, adds its terms into one ``TermSums`` and builds one polynomial.  A
+term folds its sign and its leaf factors (a literal, ``s`` or ``G(k)``,
+each maybe to a ``^``) into one running term: a Gaussian-integer scalar
+over a denominator, an ``s`` degree and a Gamma exponent list.  Its other
+factors are lowered by the same walk and multiplied in, in factor order;
 multiplying by one term keeps the order of the terms, so the term order is
-that of multiplying factor by factor from the left.
+that of multiplying factor by factor from the left.  A power of anything
+but a leaf lowers its base and raises it.  A divisor must lower to a
+nonzero constant, which folds into the scalar; any other divisor is a
+``ParseError`` at its ``/``, and so is a ``^`` whose degree in ``s`` would
+pass ``MAX_S_DEGREE``, at the ``^``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ._record import Record, setfield
 from .poly import GammaPoly, TermSums, UniPoly
-from .scalars import I, GaussianRational, decimal_int
+from .scalars import I, ZERO, GaussianRational, decimal_int
 
-#: Deepest parenthesis nesting accepted; lowering recurses once per level.
+#: Deepest parenthesis nesting accepted.  Lowering recurses once per level
+#: into a parenthesised sum, and once more for each ``^``, postfix ``i`` or
+#: ``/`` applied to it: at most four frames a level.
 MAX_NESTING = 100
 
 #: Highest degree in ``s`` that a ``^`` may produce; lowering stores a
@@ -302,120 +308,86 @@ def _gamma_error(text: str, pos: int) -> ParseError:
 
 
 def lower_to_poly(node: ExprAst, arity: int) -> GammaPoly:
-    """Evaluate an AST into the polynomial ring."""
-    if isinstance(node, Sum):
-        return _lower_sum(node, arity)
-    term = _fold(node, arity)
-    if isinstance(term, GammaPoly):
-        return term
-    re, im, den, power, exponents = term
-    terms = {tuple(exponents): _coefficient(re, im, den, power)} if re or im else {}
-    return GammaPoly._build(arity, terms)
+    """Evaluate an AST into the polynomial ring.
 
-
-def _lower_sum(node: Sum, arity: int) -> GammaPoly:
-    """The signed terms added into one term map, each folded term as one
-    coefficient."""
-    sums = TermSums()
-    for term, sign in zip(node.terms, node.signs):
-        term = _fold(term, arity)
-        if isinstance(term, GammaPoly):
-            for mono, coeff in term._terms.items():
-                sums.add(mono, coeff if sign > 0 else -coeff)
-            continue
-        re, im, den, power, exponents = term
-        if re or im:
-            sums.add(tuple(exponents), _coefficient(sign * re, sign * im, den, power))
-    return GammaPoly._build(arity, sums.terms())
-
-
-def _coefficient(re: int, im: int, den: int, power: int) -> UniPoly:
-    """``(re + im*i)/den * s^power``, with ``den`` positive."""
-    return UniPoly._canonical([(0, 0)] * power + [(re, im)], den)
-
-
-#: A product folded into one term: scalar ``(re + im*i)/den`` with ``den``
-#: positive, the power of ``s`` and the exponent of each ``G(k)``.
-_Term = Tuple[int, int, int, int, Sequence[int]]
-
-
-def _fold(node: ExprAst, arity: int) -> Union[_Term, GammaPoly]:
-    """A product, or a lone factor, as one term when it is one: its
-    single-term factors folded into one term in factor order, then its other
-    factors multiplied in, in factor order."""
-    if isinstance(node, Product):
-        factors, divides = node.factors, node.divides
+    A power that does not fold is its base raised to it; any other lone node
+    is a sum of one term, and a lone factor a product of one factor.
+    """
+    if type(node) is Pow and not _folds(node):
+        base = lower_to_poly(node.base, arity)
+        _check_s_degree(node, max((c.degree for c in base._terms.values()), default=0))
+        return base**node.exponent
+    if type(node) is Sum:
+        terms, signs = node.terms, node.signs
     else:
-        factors, divides = (node,), ()
-    re, im, den, power = 1, 0, 1, 0
-    exponents = [0] * arity
-    polys: List[GammaPoly] = []
-    for k, factor in enumerate(factors):
-        if divides and k in divides:
-            term = _inverse(_fold(factor, arity))
-            if term is None:
-                raise ParseError(
-                    "division is only defined by a nonzero constant", node.pos[divides.index(k)]
-                )
+        terms, signs = (node,), (1,)
+    sums = TermSums()
+    for term, sign in zip(terms, signs):
+        if type(term) is Product:
+            factors, divides = term.factors, term.divides
         else:
-            exponent = 1
-            if type(factor) is Pow:
-                base, e = factor.base, factor.exponent
-                if type(base) in _LEAVES and isinstance(e, int) and e >= 0:
-                    if type(base) is SVar:
-                        _check_s_degree(factor, 1)
-                    factor, exponent = base, e
-            kind = type(factor)
+            factors, divides = (term,), ()
+        # The sign and the leaf factors folded: scalar (re + im*i)/den with
+        # den positive, the power of s and the exponent of each G(k).
+        re, im, den, power = sign, 0, 1, 0
+        exponents = [0] * arity
+        polys: List[GammaPoly] = []
+        for k, factor in enumerate(factors):
+            if divides and k in divides:
+                value = _constant(factor, arity)
+                if not value:
+                    raise ParseError(
+                        "division is only defined by a nonzero constant", term.pos[divides.index(k)]
+                    )
+                # dividing by (a + b*i)/d multiplies by d*(a - b*i)/(a^2 + b^2)
+                a, b, d = value.re, value.im, value.den
+                re, im = (re * a + im * b) * d, (im * a - re * b) * d
+                den *= a * a + b * b
+                continue
+            kind, exponent = type(factor), 1
+            if kind is Pow and _folds(factor):
+                if type(factor.base) is SVar:
+                    _check_s_degree(factor, 1)
+                factor, exponent = factor.base, factor.exponent
+                kind = type(factor)
             if kind is GammaRef:
                 index = factor.index
                 if not 0 <= index < arity:
                     raise ValueError(f"variable index {index} out of range for arity {arity}")
                 exponents[index] += exponent
-                continue
-            if kind is SVar:
+            elif kind is SVar:
                 power += exponent
-                continue
-            if kind is Lit:
+            elif kind is Lit:
                 value = factor.value if exponent == 1 else factor.value**exponent
                 re, im = re * value.re - im * value.im, re * value.im + im * value.re
                 den *= value.den
-                continue
-            term = _nested(factor, arity)
-        if isinstance(term, GammaPoly):
-            polys.append(term)
+            elif kind is Sum or kind is Product or kind is Pow:
+                polys.append(lower_to_poly(factor, arity))
+            else:
+                raise TypeError(f"not an expression node: {factor!r}")
+        if not (re or im):
             continue
-        f_re, f_im, f_den, f_power, f_exponents = term
-        re, im = re * f_re - im * f_im, re * f_im + im * f_re
-        den *= f_den
-        power += f_power
-        for index, exponent in enumerate(f_exponents):
-            exponents[index] += exponent
-    if not polys:
-        return re, im, den, power, exponents
-    if not (re or im):
-        return GammaPoly._build(arity, {})
-    if re == den and not im and not power and not any(exponents):
-        # Multiplying by 1 would only copy the first polynomial factor.
-        product = polys.pop(0)
-    else:
-        product = GammaPoly._build(arity, {tuple(exponents): _coefficient(re, im, den, power)})
-    for poly in polys:
-        product = product * poly
-    return product
+        mono = tuple(exponents)
+        coeff = UniPoly._canonical([(0, 0)] * power + [(re, im)], den)
+        if not polys:
+            sums.add(mono, coeff)
+            continue
+        if abs(re) == den and not im and not power and not any(mono):
+            # Multiplying by 1 or -1 would only copy or negate the first
+            # polynomial factor.
+            product, negate = polys.pop(0), re < 0
+        else:
+            product, negate = GammaPoly._build(arity, {mono: coeff}), False
+        for poly in polys:
+            product = product * poly
+        for mono, coeff in product._terms.items():
+            sums.add(mono, -coeff if negate else coeff)
+    return GammaPoly._build(arity, sums.terms())
 
 
-def _nested(node: ExprAst, arity: int) -> Union[_Term, GammaPoly]:
-    """A parenthesised product or sum, or a power of one, as one term when
-    it is one."""
-    if isinstance(node, Product):
-        return _fold(node, arity)
-    if isinstance(node, Sum):
-        return _single_term(_lower_sum(node, arity))
-    if isinstance(node, Pow):
-        base = lower_to_poly(node.base, arity)
-        _check_s_degree(node, max((c.degree for c in base._terms.values()), default=0))
-        return _single_term(base**node.exponent)
-    raise TypeError(f"not an expression node: {node!r}")
+def _folds(node: Pow) -> bool:
+    """Whether a power folds into a term: a leaf to a valid exponent."""
+    return type(node.base) in _LEAVES and isinstance(node.exponent, int) and node.exponent >= 0
 
 
 def _check_s_degree(node: Pow, base_degree: int) -> None:
@@ -425,29 +397,17 @@ def _check_s_degree(node: Pow, base_degree: int) -> None:
         raise ParseError(f"power exceeds degree {MAX_S_DEGREE} in s", node.pos)
 
 
-def _single_term(p: GammaPoly) -> Union[_Term, GammaPoly]:
-    """``p`` as a ``_Term`` when it is zero or one scalar times powers of
-    ``s`` and the ``G(k)``, else ``p`` itself."""
-    if not p._terms:
-        return 0, 0, 1, 0, (0,) * p.arity
-    if len(p._terms) != 1:
-        return p
-    [(mono, coeff)] = p._terms.items()
-    *lower, (re, im) = coeff._num
-    if any(r or i for r, i in lower):
-        return p
-    return re, im, coeff._den, len(lower), mono
-
-
-def _inverse(term: Union[_Term, GammaPoly]) -> Optional[_Term]:
-    """The inverse of a nonzero constant, else None."""
-    if isinstance(term, GammaPoly):
+def _constant(node: ExprAst, arity: int) -> Optional[GaussianRational]:
+    """The value of ``node`` when it is a constant, else None."""
+    if type(node) is Lit:
+        return node.value
+    terms = lower_to_poly(node, arity)._terms
+    if not terms:
+        return ZERO
+    (mono, coeff), *rest = terms.items()
+    if rest or any(mono) or coeff.degree:
         return None
-    re, im, den, power, exponents = term
-    if power or any(exponents) or not (re or im):
-        return None
-    # den / (re + im*i) = den * (re - im*i) / (re^2 + im^2)
-    return re * den, -im * den, re * re + im * im, 0, exponents
+    return coeff.coefficient(0)
 
 
 def parse_gamma_poly(text: str, arity: int) -> GammaPoly:
@@ -457,11 +417,10 @@ def parse_gamma_poly(text: str, arity: int) -> GammaPoly:
 
 def parse_scalar(text: str) -> GaussianRational:
     """Parse an exact Gaussian-rational constant (shift-list entries)."""
-    term = _single_term(parse_gamma_poly(text, 0))
-    if isinstance(term, GammaPoly) or term[3]:
+    value = _constant(parse_poly(text, 0), 0)
+    if value is None:
         raise ParseError("expected a constant, not a polynomial in s", 0)
-    re, im, den, _, _ = term
-    return GaussianRational._of(re, im, den)
+    return value
 
 
 def parse_shifts(text: str) -> Tuple[GaussianRational, ...]:

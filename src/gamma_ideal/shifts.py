@@ -128,9 +128,6 @@ class ShiftSystem(Record):
     def class_index_of(self, index: int) -> int:
         return self._class_index[self._checked(index)]
 
-    def representative_of(self, index: int) -> int:
-        return self.representatives[self.class_index_of(index)]
-
     def offset_of(self, index: int) -> int:
         """Integer d >= 0 with shift[index] = shift[representative] + d."""
         return self._offset[self._checked(index)]

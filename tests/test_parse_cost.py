@@ -6,8 +6,8 @@ flat sum of monomials ``c*s^k*G(0)^e0*...`` lowers without multiplying
 polynomials: every factor of a product folds into one running scalar,
 ``s`` degree and exponent list, each product's term goes straight into the
 sum's term map, and the polynomial is built once, at the end, without the
-public checked constructor.  Only a parenthesised sum is multiplied in as a
-polynomial.
+public checked constructor.  Only a parenthesised factor is multiplied in as
+a polynomial.
 """
 
 import pytest
@@ -86,3 +86,12 @@ def test_only_parenthesised_sums_are_multiplied(monkeypatch, text, products):
     calls = counter(monkeypatch, GammaPoly, "__mul__")
     lower_to_poly(ast, ARITY)
     assert len(calls) == products
+
+
+def test_negated_parenthesised_terms_are_not_multiplied_by_minus_one(monkeypatch):
+    # a term's sign folds into its running scalar; a scalar of -1 before a
+    # parenthesised factor negates it, as a scalar of 1 copies it
+    ast = parse_poly("-(G(0)+1)+(G(1)-s)^2-(G(2)+s)^2", ARITY)
+    calls = counter(monkeypatch, GammaPoly, "__mul__")
+    lower_to_poly(ast, ARITY)
+    assert len(calls) == 2  # the two squarings
