@@ -11,10 +11,11 @@ The corpus: the README examples, the criterion-8 texts as
 interleaved, complex, negative and long shift lists, and the parser's
 edges after a ``--``: rejected and accepted texts, nesting at and past
 ``MAX_NESTING``, a 1200-term flat sum, divisors and shift-list entries that
-are or are not constants once lowered.  Each criterion-8 or chain text
-that starts with ``-`` is pinned twice: as written, which argparse rejects
-as an unknown option, and after a ``--`` separator, which reaches the
-command.  The printed residuals are floating point, so the pinned bytes
+are or are not constants once lowered, and the normal-form route over
+multi-class, complex, negative and out-of-order shifts with gaps above one.
+Each criterion-8 or chain text that starts with ``-`` is pinned twice: as
+written, which argparse rejects as an unknown option, and after a ``--``
+separator, which reaches the command.  The printed residuals are floating point, so the pinned bytes
 hold for one platform's libm.
 
 Regenerate the file (only when the output is meant to change) with
@@ -66,6 +67,21 @@ LOWERING_EDGES = [
 ]
 # Shift lists whose entries are or are not constants once lowered.
 SCALAR_EDGES = ["(1+i)/(1-i),0", "s,0", "0,(s-s)/2", "1/(2-2)"]
+# The substitution route over one eight-member class, over three classes
+# with gaps 2 and 3 and complex shifts, over negative shifts with a class out
+# of input order and gaps 1, 1 and 2, and over a class out of input order;
+# and a member whose certificate steps across two gaps.
+NORMAL_FORM_ROUTE = [
+    ["reduce", "--json", "--", "0,1,2,3,4,5,6,7",
+     "(G(0)+G(1)+G(2)+G(3)+G(4)+G(5)+G(6)+G(7))^4"],
+    ["reduce", "--json", "--", "0,2,5,1/2,3/2,(1+i)/3,(4+i)/3",
+     "G(2)^3*G(4)-s*G(1)^2*G(6)+G(0)*G(2)*G(5)^2-(1/2)*G(1)^4"],
+    ["reduce", "--json", "--", "-3/2,1/2,-1/2,5/2",
+     "G(0)^2*G(3)-(s-3/2)*G(2)*G(1)^2+G(3)^3"],
+    ["reduce", "--", "5,0,2", "G(0)*G(2)-G(1)^2"],
+    ["member", "--certify", "--verify", "--json", "--", "-3/2,1/2,-1/2,5/2",
+     "G(3)-(s+1/2)*(s+3/2)*G(1)"],
+]
 
 
 def invoke(argv):
@@ -156,6 +172,7 @@ def corpus():
         argvs.append(["reduce", "--json", "--", "0,1", text])
     for shifts in SCALAR_EDGES:
         argvs.append(["classes", shifts, "--json"])
+    argvs.extend(NORMAL_FORM_ROUTE)
     unique = {json.dumps(argv): argv for argv in argvs}  # the random texts repeat some
     return list(unique.values())
 
