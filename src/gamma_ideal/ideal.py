@@ -9,16 +9,20 @@ construction); a nonzero normal form lives on the class representatives,
 whose pairwise differences are non-integral, and no nonzero polynomial in
 those Gamma values vanishes identically.
 
-Two routes compute the normal form: the substitution homomorphism
-(``normal_form``), one pass that maps each input term on its own, and a
-telescoping rewrite that also yields the cofactor certificate
-(``certify``), one pass per generator that sums the shares landing on one
-monomial before multiplying them.  Its cofactors are those of multivariate
-division by the generators.  ``decide_membership`` runs both and insists
-that they agree, that the normal form holds no non-representative variable,
-and that the certificate re-expands exactly to the input; together these
-make the certificate a proof whatever route produced it.  The guards raise
-``AssertionError`` explicitly, so ``python -O`` keeps them.
+Two routes compute the normal form.  The substitution homomorphism
+(``normal_form``) steps each class down one gap at a time, G(j) ->
+step_j * G(prev) from the highest offset down, one pass per step.  The
+telescoping rewrite (``certify``) moves each G(j) straight to its
+representative with m_j ** e, in ascending order, one pass per generator,
+and also yields the cofactor certificate: the cofactors of multivariate
+division by the generators.  Both sum the terms landing on one monomial
+before multiplying them.  ``decide_membership`` runs both and insists that
+they agree, that the normal form holds no non-representative variable, and
+that the certificate re-expands exactly to the input.  On a class of three
+or more members the routes share no power and no sum, so each checks the
+other; the last two guards alone make the certificate a proof whatever
+route produced it.  The guards raise ``AssertionError`` explicitly, so
+``python -O`` keeps them.
 
 Both routes and the re-expansion add into ``poly.TermSums``: per monomial,
 int lists over one denominator, with each coefficient made canonical once.
@@ -139,35 +143,46 @@ def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
     """Image of p under G(j) -> multiplier_j(s) * G(rep(j)) for non-reps j.
 
     A ring homomorphism, hence linear and multiplicative; idempotent because
-    representatives map to themselves.  Each term is substituted on its own
-    and its image added into one ``TermSums``; a term with no
-    non-representative variable passes through by reference.  Each power
-    multiplier_j ** e is computed once per call.
+    representatives map to themselves.  The multiplier of j is the product of
+    the steps down its class, one rising factorial per gap, so the map is
+    applied as the chain of adjacent substitutions G(j) -> step_j * G(prev)
+    of ``ShiftSystem.steps``, each class from its highest offset down.  One
+    pass per step groups the terms that hold G(j) by (image, e), sums each
+    group in a ``TermSums`` and multiplies the sum once by step_j ** e, each
+    power computed once per pass; terms free of G(j) pass through by
+    reference.  With consecutive shifts every step is linear.  ``certify``
+    moves each G(j) straight to its representative instead, so on a class of
+    three or more members the two routes share no power and no sum.
     """
     if p.arity != sys.arity:
         raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
-    rewrites = {rel.target: rel for rel in sys.generators()}
-    if not rewrites:
+    steps = sys.steps()
+    if not steps:
         return p
-    powers: Dict[Tuple[int, int], UniPoly] = {}
-    images = TermSums()
-    for mono, coeff in p.terms.items():
-        image = list(mono)
-        factors = []
-        for j, exponent in enumerate(mono):
-            rel = rewrites.get(j)
-            if exponent == 0 or rel is None:
+    terms = p.terms
+    for j, prev, step in steps:
+        left, moved = TermSums(), TermSums()
+        for mono, coeff in terms.items():
+            exponent = mono[j]
+            if not exponent:
+                left.add(mono, coeff)
                 continue
+            image = list(mono)
             image[j] = 0
-            image[rel.source] += exponent
-            factors.append(_cached_power(powers, rel, exponent))
-        if not factors:
-            images.add(mono, coeff)
-            continue
-        for factor in factors[:-1]:
-            coeff = coeff * factor
-        images.add_product(tuple(image), coeff, factors[-1])
-    return GammaPoly._build(p.arity, images.terms())
+            image[prev] += exponent
+            moved.add((tuple(image), exponent), coeff)
+        powers: Dict[int, UniPoly] = {1: step}
+        for (mono, exponent), total in moved.terms().items():
+            factor = powers.get(exponent)
+            if factor is None:
+                factor = powers[exponent] = step ** exponent
+            # The shorter operand first: it drives the convolution's outer loop.
+            if factor.degree < total.degree:
+                left.add_product(mono, factor, total)
+            else:
+                left.add_product(mono, total, factor)
+        terms = left.terms()
+    return GammaPoly._build(p.arity, terms)
 
 
 def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:

@@ -17,8 +17,8 @@ still canonical, so a_i - a_j is an integer exactly when the two shifts have
 the same class key (re % den, im, den), and that integer is then the
 difference of their values of re // den.  ``build_shift_system`` groups by that key in one pass.
 Walking a class in offset order, each multiplier is the previous one times
-the rising factorial over the gap between them, so ``generators`` makes one
-running product per class.
+the rising factorial over the gap between them (the step), so ``generators``
+makes one running product per class and keeps the steps for ``steps``.
 """
 
 from __future__ import annotations
@@ -75,12 +75,12 @@ class ShiftSystem(Record):
     representative (which therefore comes first); ``representatives`` is
     aligned with ``classes``.  Build instances with ``build_shift_system``.
     Each index's class and offset are derived once, on construction; the
-    generators are computed on first use into the slot ``_generators``,
-    which pickling and copying carry along.
+    generators and the steps are computed on first use into the slots
+    ``_generators`` and ``_steps``, which pickling and copying carry along.
     """
 
     _fields = ("shifts", "classes", "representatives")
-    _caches = ("_generators",)
+    _caches = ("_generators", "_steps")
     __slots__ = _fields + ("_class_index", "_offset") + _caches
 
     def __init__(
@@ -150,17 +150,27 @@ class ShiftSystem(Record):
             return self._generators
         except AttributeError:
             pass
-        by_target = {}
+        by_target, steps = {}, []
         for rep, *members in self.classes:
             multiplier, prev = UniPoly.one(), rep
             for j in members:
-                gap = self._offset[j] - self._offset[prev]
-                multiplier = multiplier * rising_factorial(self.shifts[prev], gap)
+                step = rising_factorial(self.shifts[prev], self._offset[j] - self._offset[prev])
+                multiplier = multiplier * step
                 by_target[j] = _relation(self.arity, rep, j, multiplier)
+                steps.append((j, prev, step))
                 prev = j
         generators = tuple(by_target[j] for j in sorted(by_target))
+        setfield(self, "_steps", tuple(reversed(steps)))
         setfield(self, "_generators", generators)
         return generators
+
+    def steps(self) -> Tuple[Tuple[int, int, UniPoly], ...]:
+        """(j, prev, step) per non-representative j, each class from its
+        highest offset down: prev is the member just below j and step the
+        rising factorial from prev's shift over the gap, so the relation of
+        j is G(j) - step * G(prev) chained down to the representative."""
+        self.generators()
+        return self._steps
 
     def shifts_text(self) -> str:
         return ", ".join(str(a) for a in self.shifts)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import gamma_ideal.parser as parser
-from gamma_ideal.ideal import decide_membership
+from gamma_ideal.ideal import decide_membership, normal_form
 from gamma_ideal.numeric import verify_verdict
 from gamma_ideal.parser import (
     MAX_NESTING, GammaRef, Lit, Pow, Product, Sum, SVar, parse_gamma_poly, parse_poly, parse_shifts,
@@ -50,6 +50,22 @@ def test_round_trip(value, duplicate):
 @pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
 def test_copies_keep_the_cached_generators(duplicate):
     assert duplicate(SYSTEM)._generators == SYSTEM._generators
+
+
+@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+def test_copies_keep_the_cached_steps(duplicate):
+    again = duplicate(SYSTEM)
+    assert again._steps == SYSTEM._steps and again.steps() == SYSTEM.steps()
+
+
+@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+def test_a_copy_made_before_the_generators_reduces_alike(duplicate):
+    fresh = build_shift_system(parse_shifts("0,1,2,1/2"))
+    again = duplicate(fresh)
+    assert not hasattr(again, "_steps") and not hasattr(again, "_generators")
+    poly = parse_gamma_poly("G(2)^3*G(3)-s*G(1)^2*G(0)+G(2)*G(1)", 4)
+    assert normal_form(poly, again) == normal_form(poly, SYSTEM)
+    assert again.steps() == SYSTEM.steps() and again.generators() == SYSTEM.generators()
 
 
 def test_ast_repr_evaluates_back():

@@ -24,7 +24,11 @@ from gamma_ideal.parser import parse_gamma_poly, parse_shifts
 from gamma_ideal.poly import GammaPoly, Monomial, UniPoly, gamma_poly_text
 from gamma_ideal.scalars import GaussianRational
 from gamma_ideal.shifts import ShiftSystem, build_shift_system, shift_apply
-from strategies import random_member, random_poly, random_shift_system, system_with_polys
+import reference_normal_form
+from strategies import (
+    chain_member, nonzero_gamma_polys, random_member, random_poly, random_shift_system, scalars,
+    system_with_polys,
+)
 
 HALF = Fraction(1, 2)
 
@@ -90,6 +94,36 @@ def test_normal_form_free_of_non_representatives():
     reduced = normal_form(p, sys)
     spots = sys.non_representatives()
     assert all(all(mono[j] == 0 for j in spots) for mono in reduced.terms)
+
+
+@st.composite
+def translated_system_with_poly(draw):
+    """A system of up to six shifts in classes of up to four, with gaps up to
+    six, moved by a drawn scalar so that shifts come negative and complex,
+    and a polynomial of matching arity."""
+    rng = draw(st.randoms(use_true_random=False))
+    base = random_shift_system(rng, max_arity=6, max_class_size=4, max_offset=6)
+    offset = draw(scalars) - draw(st.integers(0, 6))
+    sys = build_shift_system([a + offset for a in base.shifts])
+    return sys, draw(nonzero_gamma_polys(sys.arity, max_terms=6))
+
+
+@given(translated_system_with_poly())
+@settings(deadline=None)
+def test_step_down_route_matches_the_per_term_reference(bundle):
+    sys, p = bundle
+    reduced = normal_form(p, sys)
+    assert reduced == reference_normal_form.normal_form(p, sys)
+    if not sys.generators():
+        assert reduced is p
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_step_down_route_matches_the_reference_on_chains(n):
+    sys, member = chain_member(n)
+    power = sum((GammaPoly.variable(n, k) for k in range(n)), GammaPoly.zero(n)) ** 4
+    for p in (member, power, power * GammaPoly.variable(n, n - 1)):
+        assert normal_form(p, sys) == reference_normal_form.normal_form(p, sys)
 
 
 # -- certificates
