@@ -182,7 +182,9 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     try:
         value = gamma_eval(point)
         finite = math.isfinite(value.real) and math.isfinite(value.imag)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
+        # ZeroDivisionError: the Lanczos power of a point far up the
+        # imaginary axis underflows to 0.0 raised to a complex power.
         finite = False
     if not finite:
         print(f"error: gamma({_complex_text(point)}) is out of floating-point range", file=sys.stderr)

@@ -307,6 +307,18 @@ def test_gamma_eval_out_of_range_is_a_numeric_failure(capsys, point, text, flags
     assert err == f"error: gamma({text}) is out of floating-point range\n"
 
 
+@pytest.mark.parametrize(
+    "point, text", [("1+1e308i", "1+1e+308i"), ("0.5-1e308i", "0.5-1e+308i")]
+)
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
+def test_gamma_eval_far_up_the_imaginary_axis_is_a_numeric_failure(capsys, point, text, flags):
+    """The Lanczos power underflows to 0.0 there, which Python refuses to
+    raise to a complex power; that ends as the out-of-range line too."""
+    code, out, err = run(capsys, "gamma", "--eval", point, *flags)
+    assert (code, out) == (1, "")
+    assert err == f"error: gamma({text}) is out of floating-point range\n"
+
+
 # -- selftest
 
 
