@@ -154,7 +154,8 @@ class ShiftSystem(Record):
         for rep, *members in self.classes:
             multiplier, prev = UniPoly.one(), rep
             for j in members:
-                step = rising_factorial(self.shifts[prev], self._offset[j] - self._offset[prev])
+                gap = self._offset[j] - self._offset[prev]
+                step = rising_factorial(self.shifts[prev], gap)
                 multiplier = multiplier * step
                 by_target[j] = _relation(self.arity, rep, j, multiplier)
                 steps.append((j, prev, step))
@@ -167,8 +168,8 @@ class ShiftSystem(Record):
     def steps(self) -> Tuple[Tuple[int, int, UniPoly], ...]:
         """(j, prev, step) per non-representative j, each class from its
         highest offset down: prev is the member just below j and step the
-        rising factorial from prev's shift over the gap, so the relation of
-        j is G(j) - step * G(prev) chained down to the representative."""
+        rising factorial from prev's shift over their gap.  The steps from j
+        down to its representative multiply to j's multiplier."""
         self.generators()
         return self._steps
 

@@ -15,8 +15,8 @@ are or are not constants once lowered, and the normal-form route over
 multi-class, complex, negative and out-of-order shifts with gaps above one.
 Each criterion-8 or chain text that starts with ``-`` is pinned twice: as
 written, which argparse rejects as an unknown option, and after a ``--``
-separator, which reaches the command.  The printed residuals are floating point, so the pinned bytes
-hold for one platform's libm.
+separator, which reaches the command.  The printed residuals are floating
+point, so the pinned bytes hold for one platform's libm.
 
 Regenerate the file (only when the output is meant to change) with
 
