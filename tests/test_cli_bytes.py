@@ -12,7 +12,8 @@ interleaved, complex, negative and long shift lists, and the parser's
 edges after a ``--``: rejected and accepted texts, nesting at and past
 ``MAX_NESTING``, a 1200-term flat sum, divisors and shift-list entries that
 are or are not constants once lowered, and the normal-form route over
-multi-class, complex, negative and out-of-order shifts with gaps above one.
+multi-class, complex, negative and out-of-order shifts with gaps above one,
+and the certificate route (``member --certify``) over two of those inputs.
 Each criterion-8 or chain text that starts with ``-`` is pinned twice: as
 written, which argparse rejects as an unknown option, and after a ``--``
 separator, which reaches the command.  The printed residuals are floating
@@ -81,6 +82,15 @@ NORMAL_FORM_ROUTE = [
     ["reduce", "--", "5,0,2", "G(0)*G(2)-G(1)^2"],
     ["member", "--certify", "--verify", "--json", "--", "-3/2,1/2,-1/2,5/2",
      "G(3)-(s+1/2)*(s+3/2)*G(1)"],
+]
+# The certificate route over the same three classes and the same
+# out-of-order four-member class: cofactors with complex shifts, gaps of
+# 1, 2 and 3 and exponents up to 4.
+CERTIFY_ROUTE = [
+    ["member", "--certify", "--verify", "--json", "--", "0,2,5,1/2,3/2,(1+i)/3,(4+i)/3",
+     "G(2)^3*G(4)-s*G(1)^2*G(6)+G(0)*G(2)*G(5)^2-(1/2)*G(1)^4"],
+    ["member", "--certify", "--", "-3/2,1/2,-1/2,5/2",
+     "G(0)^2*G(3)-(s-3/2)*G(2)*G(1)^2+G(3)^3"],
 ]
 
 
@@ -173,6 +183,7 @@ def corpus():
     for shifts in SCALAR_EDGES:
         argvs.append(["classes", shifts, "--json"])
     argvs.extend(NORMAL_FORM_ROUTE)
+    argvs.extend(CERTIFY_ROUTE)
     unique = {json.dumps(argv): argv for argv in argvs}  # the random texts repeat some
     return list(unique.values())
 
