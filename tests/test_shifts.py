@@ -1,4 +1,5 @@
 from fractions import Fraction
+import re
 
 import pytest
 from hypothesis import given
@@ -129,6 +130,21 @@ def test_generating_relation_requires_shared_class():
     sys = build_shift_system([0, HALF])
     with pytest.raises(ValueError):
         generating_relation(sys, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "shifts, i, j, message",
+    [
+        ([0, 3], -1, 0, "variable index -1 out of range"),
+        ([0, 3], 0, 5, "variable index 5 out of range"),
+        ([0, HALF], 0, 1, "shifts 0 and 1/2 do not differ by an integer"),
+        ([0, 3], 1, 0, "need a positive integer gap from index 1 to 0, got -3"),
+    ],
+)
+def test_generating_relation_error_messages(shifts, i, j, message):
+    sys = build_shift_system(shifts)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generating_relation(sys, i, j)
 
 
 def test_generators_cover_every_non_representative():
