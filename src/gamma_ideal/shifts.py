@@ -74,14 +74,14 @@ class ShiftSystem(Record):
     ``classes`` lists index classes sorted by offset from the class
     representative (which therefore comes first); ``representatives`` is
     aligned with ``classes``.  Build instances with ``build_shift_system``.
-    Each index's class and offset are derived once, on construction; the
+    Each index's offset is derived once, on construction; the
     generators and the steps are computed on first use into the slots
     ``_generators`` and ``_steps``, which pickling and copying carry along.
     """
 
     _fields = ("shifts", "classes", "representatives")
     _caches = ("_generators", "_steps")
-    __slots__ = _fields + ("_class_index", "_offset") + _caches
+    __slots__ = _fields + ("_offset",) + _caches
 
     def __init__(
         self,
@@ -92,15 +92,12 @@ class ShiftSystem(Record):
         setfield(self, "shifts", shifts)
         setfield(self, "classes", classes)
         setfield(self, "representatives", representatives)
-        class_index = [0] * len(shifts)
         offset = [0] * len(shifts)
-        for c, cls in enumerate(classes):
+        for cls in classes:
             base = shifts[cls[0]]
             for member in cls:
-                class_index[member] = c
                 # Members of a class share im, den and re mod den.
                 offset[member] = (shifts[member].re - base.re) // base.den
-        setfield(self, "_class_index", tuple(class_index))
         setfield(self, "_offset", tuple(offset))
 
     def __reduce__(self):
@@ -124,9 +121,6 @@ class ShiftSystem(Record):
         if not 0 <= index < self.arity:
             raise ValueError(f"variable index {index} out of range")
         return index
-
-    def class_index_of(self, index: int) -> int:
-        return self._class_index[self._checked(index)]
 
     def offset_of(self, index: int) -> int:
         """Integer d >= 0 with shift[index] = shift[representative] + d."""
@@ -218,16 +212,13 @@ def _relation(arity: int, source: int, target: int, multiplier: UniPoly) -> Rela
 
 def generating_relation(sys: ShiftSystem, i: int, j: int) -> Relation:
     """The relation expressing G(j) through G(i) when a_j = a_i + d, d >= 1."""
-    if sys.class_index_of(i) != sys.class_index_of(j):
-        raise ValueError(
-            f"shifts {sys.shifts[i]} and {sys.shifts[j]} do not differ by an integer"
-        )
-    d = sys.offset_of(j) - sys.offset_of(i)
+    a_i, a_j = sys.shifts[sys._checked(i)], sys.shifts[sys._checked(j)]
+    d = integer_difference(a_j, a_i)
+    if d is None:
+        raise ValueError(f"shifts {a_i} and {a_j} do not differ by an integer")
     if d < 1:
-        raise ValueError(
-            f"need a positive integer gap from index {i} to {j}, got {d}"
-        )
-    return _relation(sys.arity, i, j, rising_factorial(sys.shifts[i], d))
+        raise ValueError(f"need a positive integer gap from index {i} to {j}, got {d}")
+    return _relation(sys.arity, i, j, rising_factorial(a_i, d))
 
 
 def shift_apply(q: GammaPoly, sys: ShiftSystem) -> GammaPoly:
