@@ -2,36 +2,37 @@
 
 Every polynomial relation among Gamma values at integer-linked shifts is a
 cofactor combination of the generating relations, so deciding whether an
-expression is an identity reduces to computing a normal form: substitute
-each non-representative variable by its rewrite image and collect.  Zero
-normal form means the input re-expands over the generators (an identity by
+expression is an identity reduces to computing a normal form: its image
+under G(j) -> m_j * G(rep(j)) for every non-representative j.  Zero normal
+form means the input re-expands over the generators (an identity by
 construction); a nonzero normal form lives on the class representatives,
 whose pairwise differences are non-integral, and no nonzero polynomial in
 those Gamma values vanishes identically.
 
-Two routes compute the normal form.  The substitution homomorphism
-(``normal_form``) steps each class down one gap at a time, G(j) ->
-step_j * G(prev) from the highest offset down, one pass per step.  The
-telescoping rewrite (``certify``) moves each G(j) straight to its
-representative with m_j ** e, in ascending order, one pass per generator,
-and also yields the cofactor certificate: the cofactors of multivariate
-division by the generators.  Both sum the terms landing on one monomial
-before multiplying them.  ``decide_membership`` runs both and insists that
-they agree, that the normal form holds no non-representative variable, and
-that the certificate re-expands exactly to the input.  On a class of three
-or more members the routes share no power and no sum, so each checks the
-other; the last two guards alone make the certificate a proof whatever
-route produced it.  The guards raise ``AssertionError`` explicitly, so
-``python -O`` keeps them.
+One pass, ``_substitute``, moves the terms under G(j) -> multiplier * G(r),
+summing what lands on one monomial before multiplying it, and can collect
+the cofactor of the move as well.  Two routes run it, one variable at a
+time: ``normal_form`` steps each class down one gap at a time, G(j) ->
+step_j * G(prev), and ``certify`` moves each G(j) straight to its
+representative with m_j and yields the cofactor certificate.
+``decide_membership`` insists that the two normal forms agree, that the
+normal form holds no non-representative variable, and that the certificate
+re-expands exactly to the input.  On a class of three or more members the
+routes share no multiplier power and no intermediate sum, so the agreement
+guard checks each against the other.  A defect in ``_substitute`` itself
+would hit both routes alike and pass that guard, but not the other two: the
+re-expansion runs through the independent ``Certificate.recombined``, and
+those two alone make the certificate a proof.  The guards raise
+``AssertionError`` explicitly, so ``python -O`` keeps them.
 
-Both routes and the re-expansion add into ``poly.TermSums``: per monomial,
-int lists over one denominator, with each coefficient made canonical once.
+The passes and the re-expansion add into ``poly.TermSums``: per key, int
+lists over one denominator, with each coefficient made canonical once.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ._record import Record, setfield
 from .poly import GammaPoly, TermSums, UniPoly, gamma_poly_text, input_and_normal_text
@@ -128,15 +129,46 @@ class Verdict(Record):
         }
 
 
-def _cached_power(
-    powers: Dict[Tuple[int, int], UniPoly], rel: Relation, exponent: int
-) -> UniPoly:
-    """multiplier ** exponent of ``rel``, computed once per ``powers`` cache."""
-    key = (rel.target, exponent)
-    factor = powers.get(key)
-    if factor is None:
-        factor = powers[key] = rel.multiplier ** exponent
-    return factor
+def _substitute(
+    terms: Mapping, j: int, r: int, multiplier: UniPoly, cofactor: Optional[TermSums] = None
+) -> Dict:
+    """The terms with G(j) -> multiplier * G(r), in one pass.
+
+    The terms holding G(j)^e are grouped by (image, e), each group's sum is
+    multiplied once by multiplier ** e, and terms free of G(j) pass through
+    by reference.  Given a ``cofactor``, the telescoping shares of the move
+    are added into it as well:
+
+        G(j)^e - (m G(r))^e = (G(j) - m G(r)) * sum_{k<e} G(j)^(e-1-k) (m G(r))^k,
+
+    so a term c*M holding G(j)^e gains the cofactor c*m^k * M G(r)^k /
+    G(j)^(k+1) for k = 0..e-1, grouped by (monomial, k) and multiplied once
+    by m^k.  Moves and shares share one power table per pass.
+    """
+    left, moved, shares = TermSums(), TermSums(), TermSums()
+    for mono, coeff in terms.items():
+        exponent = mono[j]
+        if not exponent:
+            left.add(mono, coeff)
+            continue
+        image = list(mono)
+        base = image[r]
+        if cofactor is not None:
+            for k in range(exponent):
+                image[j] = exponent - 1 - k
+                image[r] = base + k
+                shares.add((tuple(image), k), coeff)
+        image[j] = 0
+        image[r] = base + exponent
+        moved.add((tuple(image), exponent), coeff)
+    powers = {1: multiplier}
+    for sums, target in ((shares, cofactor), (moved, left)):
+        for (mono, exponent), total in sums.terms().items():
+            factor = powers.get(exponent)
+            if factor is None:
+                factor = powers[exponent] = multiplier ** exponent
+            target.add_product(mono, total, factor)
+    return left.terms()
 
 
 def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
@@ -146,13 +178,9 @@ def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
     representatives map to themselves.  The multiplier of j is the product of
     the steps down its class, one rising factorial per gap, so the map is
     applied as the chain of adjacent substitutions G(j) -> step_j * G(prev)
-    of ``ShiftSystem.steps``, each class from its highest offset down.  One
-    pass per step groups the terms that hold G(j) by (image, e), sums each
-    group in a ``TermSums`` and multiplies the sum once by step_j ** e, each
-    power computed once per pass; terms free of G(j) pass through by
-    reference.  With consecutive shifts every step is linear.  ``certify``
-    moves each G(j) straight to its representative instead, so on a class of
-    three or more members the two routes share no power and no sum.
+    of ``ShiftSystem.steps``, each class from its highest offset down, one
+    ``_substitute`` pass per step.  With consecutive shifts every step is
+    linear.
     """
     if p.arity != sys.arity:
         raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
@@ -161,88 +189,38 @@ def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
         return p
     terms = p.terms
     for j, prev, step in steps:
-        left, moved = TermSums(), TermSums()
-        for mono, coeff in terms.items():
-            exponent = mono[j]
-            if not exponent:
-                left.add(mono, coeff)
-                continue
-            image = list(mono)
-            image[j] = 0
-            image[prev] += exponent
-            moved.add((tuple(image), exponent), coeff)
-        powers: Dict[int, UniPoly] = {1: step}
-        for (mono, exponent), total in moved.terms().items():
-            factor = powers.get(exponent)
-            if factor is None:
-                factor = powers[exponent] = step ** exponent
-            # The shorter operand first: it drives the convolution's outer loop.
-            if factor.degree < total.degree:
-                left.add_product(mono, factor, total)
-            else:
-                left.add_product(mono, total, factor)
-        terms = left.terms()
+        terms = _substitute(terms, j, prev, step)
     return GammaPoly._build(p.arity, terms)
 
 
 def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
     """Cofactors and normal form of p, eliminating one generator at a time.
 
-    For a generator G(j) - m_j G(r) (r the representative of j, m_j its
-    rising-factorial multiplier) and any exponent e,
-
-        G(j)^e - (m_j G(r))^e
-            = (G(j) - m_j G(r)) * sum_{k<e} G(j)^(e-1-k) (m_j G(r))^k.
-
-    So a term c*M with G(j)^e in M moves to c*m_j^e * M G(r)^e / G(j)^e,
-    and cofactor j gains c*m_j^k * M G(r)^k / G(j)^(k+1) for k = 0..e-1.
-    The generators are eliminated in ascending target order, each in one
-    pass over the terms left by the one before.  A pass groups the
-    cofactor shares by (monomial, k) and the moved terms by (image, e),
-    sums each group's coefficients in a ``TermSums`` and multiplies the sum
-    once by m_j^k or m_j^e; terms free of G(j) pass through by reference.
-    What is left after the last pass is the normal form.
+    Each generator G(j) - m_j G(r) (r the representative of j, m_j its
+    rising-factorial multiplier) is eliminated by one ``_substitute`` pass
+    that moves G(j) straight to G(r) and collects cofactor j from the
+    telescoping shares, in ascending target order, each pass over the terms
+    left by the one before.  What is left after the last pass is the normal
+    form.
 
     These are the cofactors of the multivariate division by the generators
     that always eliminates the lowest-indexed non-representative of the
     highest reducible monomial: each division step depends only on the
     monomial it reduces, so division is linear in the input, and on a single
-    term it makes exactly the steps above, in the same order.  Moving a term
-    to G(r) never brings in a later generator's variable, and grouping only
-    sums what linearity would add anyway.
+    term it makes exactly the steps of the pass, in the same order.  Moving
+    a term to G(r) never brings in a later generator's variable, and
+    grouping only sums what linearity would add anyway.
     """
     if p.arity != sys.arity:
         raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
     generators = sys.generators()
     if not generators:
         return Certificate(input=p, generators=generators, cofactors=(), normal_form=p)
-    powers: Dict[Tuple[int, int], UniPoly] = {}
-    cofactors = []
-    terms = p.terms
+    cofactors, terms = [], p.terms
     for rel in generators:
-        j, r = rel.target, rel.source
-        left, shares, moved = TermSums(), TermSums(), TermSums()
-        for mono, coeff in terms.items():
-            exponent = mono[j]
-            if exponent == 0:
-                left.add(mono, coeff)
-                continue
-            image = list(mono)
-            base = image[r]
-            for k in range(exponent):
-                image[j] = exponent - 1 - k
-                image[r] = base + k
-                shares.add((tuple(image), k), coeff)
-            image[j] = 0
-            image[r] = base + exponent
-            moved.add((tuple(image), exponent), coeff)
         cofactor = TermSums()
-        for (mono, k), total in shares.terms().items():
-            cofactor.add_product(mono, total, _cached_power(powers, rel, k))
+        terms = _substitute(terms, rel.target, rel.source, rel.multiplier, cofactor)
         cofactors.append(GammaPoly._build(p.arity, cofactor.terms()))
-        for (mono, exponent), total in moved.terms().items():
-            left.add_product(mono, total, _cached_power(powers, rel, exponent))
-        terms = left.terms()
     return Certificate(
         input=p,
         generators=generators,

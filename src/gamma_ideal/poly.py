@@ -554,8 +554,10 @@ class TermSums:
             del self._sums[key]
 
     def add_product(self, key, a: UniPoly, b: UniPoly) -> None:
-        """Add a * b at ``key``, convolved into the entry; a factor 1 is
-        left out."""
+        """Add a * b at ``key``, convolved into the entry with the shorter
+        operand driving the outer loop; a factor 1 is left out."""
+        if len(b._num) < len(a._num):
+            a, b = b, a
         a_num, b_num = a._num, b._num
         if b_num == _UNIT and b._den == 1:
             return self.add(key, a)

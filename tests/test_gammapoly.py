@@ -9,7 +9,7 @@ through as a golden value.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gamma_ideal.poly import (
@@ -274,6 +274,52 @@ def test_a_cancelled_key_leaves_and_comes_back_last():
     sums.add("second", -b)
     assert list(sums.terms()) == ["first"]
     assert sums.terms()["first"] == a
+
+
+# A product's operands: complex, of length 1 to 6, over mixed denominators,
+# or the unit factor.
+mixed_parts = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6)))
+short_unipolys = (
+    st.lists(st.builds(GaussianRational, mixed_parts, mixed_parts), min_size=1, max_size=6)
+    .map(UniPoly)
+    .filter(bool)
+)
+operands = st.one_of(st.just(UniPoly.one()), short_unipolys)
+
+
+@given(
+    operands,
+    operands,
+    st.sampled_from(["absent", "single", "rescaled", "cancelled"]),
+    short_unipolys,
+)
+def test_add_product_does_not_depend_on_the_operand_order(a, b, state, single):
+    # "rescaled" holds an open int list over denominator 5, which the
+    # addend's denominator does not divide, so both sides are rescaled to
+    # their lcm; "cancelled" holds -(a*b).
+    held = {
+        "absent": UniPoly.zero(),
+        "single": single,
+        "rescaled": UniPoly([Fraction(4, 5), Fraction(2, 5)]),
+        "cancelled": -(a * b),
+    }[state]
+    if state == "rescaled":
+        assume(a._den * b._den > 1)
+
+    def storage_after(x, y):
+        sums = TermSums()
+        if state == "rescaled":
+            sums.add("k", UniPoly([Fraction(1, 5), Fraction(2, 5)]))
+            sums.add("k", UniPoly([Fraction(3, 5)]))
+        elif held:
+            sums.add("k", held)
+        sums.add_product("k", x, y)
+        return {key: (coeff._num, coeff._den) for key, coeff in sums.terms().items()}
+
+    expected = held + a * b
+    assert storage_after(a, b) == storage_after(b, a) == (
+        {"k": (expected._num, expected._den)} if expected else {}
+    )
 
 
 # -- text
