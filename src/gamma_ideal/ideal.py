@@ -132,10 +132,10 @@ class Verdict(Record):
 def _substitute(
     terms: Mapping, j: int, r: int, multiplier: UniPoly, cofactor: Optional[TermSums] = None
 ) -> Dict:
-    """The terms with G(j) -> multiplier * G(r), in one pass.
+    """The terms with G(j) -> m * G(r), m the multiplier, in one pass.
 
     The terms holding G(j)^e are grouped by (image, e), each group's sum is
-    multiplied once by multiplier ** e, and terms free of G(j) pass through
+    multiplied once by m^e, and terms free of G(j) pass through
     by reference.  Given a ``cofactor``, the telescoping shares of the move
     are added into it as well:
 
