@@ -133,9 +133,9 @@ def _lanczos_values(points: List[complex]) -> List[complex]:
     return values
 
 
-def gamma_eval(s: complex, epsilon_pole: float = EPSILON_POLE) -> complex:
+def gamma_eval(s: complex) -> complex:
     """Gamma(s) to about 1e-13 relative accuracy away from the poles."""
-    return gamma_values([s], epsilon_pole)[0]
+    return gamma_values([s])[0]
 
 
 class ComplexSample(Record):

@@ -20,9 +20,10 @@ Two layers:
       P = sum over exponent vectors e of  coeff_e(s) * G(0)^e[0] * ... * G(n-1)^e[n-1]
 
   Zero coefficients are never stored, so structural equality of the maps is
-  polynomial equality.  Sums, products and the rewrite passes of ``ideal``
-  accumulate in ``TermSums``: exact int lists per monomial, each made
-  canonical once, when the result is built.
+  polynomial equality.  The constructor's merge of repeated monomials,
+  sums, products and the rewrite passes of ``ideal`` accumulate in
+  ``TermSums``: exact int lists per monomial, each made canonical once,
+  when the result is built.
 
 Monomials are plain exponent tuples.  They are ordered lexicographically,
 scanning from index 0: the first differing exponent decides, larger wins.
@@ -253,26 +254,17 @@ class UniPoly:
 
     # -- evaluation and substitution
 
-    def __call__(self, point):
-        """Horner evaluation; exact for scalar-field points, float for complex."""
-        if isinstance(point, (complex, float)):
-            return self.eval_complex(point)
+    def __call__(self, point: ScalarLike) -> GaussianRational:
+        """Exact Horner evaluation at a scalar-field point."""
         acc = ZERO
         point = to_scalar(point)
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
 
-    def eval_complex(self, point: complex) -> complex:
-        acc = 0j
-        point = complex(point)
-        for c in self.complex_coeffs():
-            acc = acc * point + c
-        return acc
-
     def complex_coeffs(self) -> Tuple[complex, ...]:
         """The coefficients as complex doubles, highest power first: the
-        Horner order of ``eval_complex`` and of the numeric oracle."""
+        Horner order of the numeric oracle."""
         # int / int is correctly rounded, so each coefficient converts to the
         # same double as its reduced fraction would.
         den = self._den
@@ -352,7 +344,7 @@ class GammaPoly:
     def __init__(self, arity: int, terms: Mapping[Monomial, UniPolyLike] = ()):
         if arity < 0:
             raise ValueError("arity must be non-negative")
-        canonical: dict[Monomial, UniPoly] = {}
+        sums = TermSums()
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in items:
             mono = tuple(mono)
@@ -363,16 +355,10 @@ class GammaPoly:
             if any(not isinstance(e, int) or e < 0 for e in mono):
                 raise ValueError(f"exponents must be non-negative integers: {mono}")
             poly = _to_unipoly(coeff)
-            if not poly:
-                continue
-            if mono in canonical:
-                poly = canonical[mono] + poly
-                if not poly:
-                    del canonical[mono]
-                    continue
-            canonical[mono] = poly
+            if poly:
+                sums.add(mono, poly)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", canonical)
+        object.__setattr__(self, "_terms", sums.terms())
 
     @classmethod
     def _build(cls, arity: int, terms: Dict[Monomial, UniPoly]) -> GammaPoly:
@@ -430,21 +416,9 @@ class GammaPoly:
     def __hash__(self) -> int:
         return hash((self.arity, frozenset(self._terms.items())))
 
-    def sorted_terms(self, reverse: bool = True) -> list[Tuple[Monomial, UniPoly]]:
-        """Terms ordered by monomial, highest first by default."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=reverse)
-
-    def highest_term(self) -> Tuple[Monomial, UniPoly]:
-        """The lex-maximal monomial and its coefficient polynomial."""
-        if not self._terms:
-            raise ValueError("the zero polynomial has no highest term")
-        mono = max(self._terms)
-        return mono, self._terms[mono]
-
-    def height(self) -> int:
-        """Total degree of the lex-highest monomial."""
-        mono, _ = self.highest_term()
-        return monomial_degree(mono)
+    def sorted_terms(self) -> list[Tuple[Monomial, UniPoly]]:
+        """Terms ordered by monomial, highest first."""
+        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
     # -- ring operations
 
@@ -607,11 +581,17 @@ class TermSums:
 
 
 def highest_term(p: GammaPoly) -> Tuple[Monomial, UniPoly]:
-    return p.highest_term()
+    """The lex-maximal monomial and its coefficient polynomial."""
+    if not p._terms:
+        raise ValueError("the zero polynomial has no highest term")
+    mono = max(p._terms)
+    return mono, p._terms[mono]
 
 
 def height(p: GammaPoly) -> int:
-    return p.height()
+    """Total degree of the lex-highest monomial."""
+    mono, _ = highest_term(p)
+    return monomial_degree(mono)
 
 
 # ---------------------------------------------------------------------------

@@ -76,12 +76,12 @@ class ShiftSystem(Record):
     aligned with ``classes``.  Build instances with ``build_shift_system``.
     Each index's offset is derived once, on construction; the
     generators and the steps are computed on first use into the slots
-    ``_generators`` and ``_steps``, which pickling and copying carry along.
+    ``_generators`` and ``_steps``.  Pickling and copying rebuild a system
+    from its fields, so a copy computes them again on its own first use.
     """
 
     _fields = ("shifts", "classes", "representatives")
-    _caches = ("_generators", "_steps")
-    __slots__ = _fields + ("_offset",) + _caches
+    __slots__ = _fields + ("_offset", "_generators", "_steps")
 
     def __init__(
         self,
@@ -100,14 +100,6 @@ class ShiftSystem(Record):
                 offset[member] = (shifts[member].re - base.re) // base.den
         setfield(self, "_offset", tuple(offset))
 
-    def __reduce__(self):
-        filled = {name: getattr(self, name) for name in self._caches if hasattr(self, name)}
-        return (*super().__reduce__(), filled)
-
-    def __setstate__(self, filled: dict) -> None:
-        for name, value in filled.items():
-            setfield(self, name, value)
-
     @property
     def arity(self) -> int:
         return len(self.shifts)
@@ -125,9 +117,6 @@ class ShiftSystem(Record):
     def offset_of(self, index: int) -> int:
         """Integer d >= 0 with shift[index] = shift[representative] + d."""
         return self._offset[self._checked(index)]
-
-    def is_representative(self, index: int) -> bool:
-        return not self.offset_of(index)
 
     def non_representatives(self) -> Tuple[int, ...]:
         return tuple(i for i, d in enumerate(self._offset) if d)

@@ -184,6 +184,8 @@ def corpus():
         argvs.append(["classes", shifts, "--json"])
     argvs.extend(NORMAL_FORM_ROUTE)
     argvs.extend(CERTIFY_ROUTE)
+    argvs.append(["member", "0,1,2", IDENTITY, "--certify", "--json"])
+    argvs.append(["member", "0,1,2", "G(0)*G(2)-G(1)^2", "--json"])
     unique = {json.dumps(argv): argv for argv in argvs}  # the random texts repeat some
     return list(unique.values())
 

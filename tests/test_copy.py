@@ -21,7 +21,7 @@ from gamma_ideal.shifts import build_shift_system
 from strategies import flat_sum
 
 SYSTEM = build_shift_system(parse_shifts("0,1,2,1/2"))
-SYSTEM.generators()  # cached on the instance, so copied along with it
+SYSTEM.generators()  # a used system: its copies rebuild from the fields
 MEMBER = parse_gamma_poly("G(0)*G(2)-G(1)^2-G(0)*G(1)", 4)
 VERDICT = decide_membership(MEMBER, SYSTEM)
 AST = parse_poly("-(1/2)i*s^3*G(0)/(2-i)+G(1)", 2)
@@ -47,25 +47,19 @@ def test_round_trip(value, duplicate):
     assert hash(again) == hash(value)
 
 
-@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
-def test_copies_keep_the_cached_generators(duplicate):
-    assert duplicate(SYSTEM)._generators == SYSTEM._generators
-
-
-@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
-def test_copies_keep_the_cached_steps(duplicate):
-    again = duplicate(SYSTEM)
-    assert again._steps == SYSTEM._steps and again.steps() == SYSTEM.steps()
-
-
-@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
-def test_a_copy_made_before_the_generators_reduces_alike(duplicate):
-    fresh = build_shift_system(parse_shifts("0,1,2,1/2"))
-    again = duplicate(fresh)
-    assert not hasattr(again, "_steps") and not hasattr(again, "_generators")
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+@pytest.mark.parametrize(
+    "duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_a_copy_of_a_system_reduces_alike(duplicate, used):
+    original = build_shift_system(parse_shifts("0,1,2,1/2"))
     poly = parse_gamma_poly("G(2)^3*G(3)-s*G(1)^2*G(0)+G(2)*G(1)", 4)
-    assert normal_form(poly, again) == normal_form(poly, SYSTEM)
-    assert again.steps() == SYSTEM.steps() and again.generators() == SYSTEM.generators()
+    if used:
+        normal_form(poly, original)
+    again = duplicate(original)
+    assert not hasattr(again, "_steps") and not hasattr(again, "_generators")
+    assert normal_form(poly, again) == normal_form(poly, original)
+    assert again.generators() == original.generators() and again.steps() == original.steps()
 
 
 def test_ast_repr_evaluates_back():

@@ -9,7 +9,7 @@ through as a golden value.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gamma_ideal.poly import (
@@ -25,7 +25,7 @@ from gamma_ideal.poly import (
     unipoly_text,
 )
 from gamma_ideal.scalars import ONE, GaussianRational, scalar_text
-from strategies import gamma_polys, monomials, nonzero_gamma_polys, unipolys
+from strategies import gamma_polys, monomials, nonzero_gamma_polys, nonzero_unipolys, unipolys
 
 
 def monomial_mul(m1, m2):
@@ -232,6 +232,24 @@ def test_signed_sum_keeps_the_term_order_of_adding_term_by_term(parts):
         for sign, poly in parts
         for mono, coeff in poly.terms.items()
     )
+
+
+# Few monomials and some coefficients that cancel, so pairs repeat a
+# monomial and a monomial's sum can cancel and come back.
+repeated_pairs = st.lists(
+    st.tuples(
+        monomials(2, max_exponent=1),
+        st.one_of(nonzero_unipolys, st.sampled_from([UniPoly.one(), -UniPoly.one(), UniPoly.x(), -UniPoly.x()])),
+    ),
+    max_size=10,
+)
+
+
+# The example cancels G(0) and brings it back after G(1): it must come last.
+@given(repeated_pairs)
+@example([((1, 0), UniPoly.one()), ((0, 1), UniPoly.x()), ((1, 0), -UniPoly.one()), ((1, 0), UniPoly.one())])
+def test_constructor_keeps_the_term_order_of_adding_term_by_term(pairs):
+    assert storage(GammaPoly(2, pairs)) == added_one_by_one(pairs)
 
 
 # -- exact running sums

@@ -191,7 +191,7 @@ def division_certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
     generators = sys.generators()
     slot_of = {rel.target: k for k, rel in enumerate(generators)}
     scan_order = list(sys.non_representatives()) + [
-        i for i in range(sys.arity) if sys.is_representative(i)
+        i for i in range(sys.arity) if not sys.offset_of(i)
     ]
 
     def view_key(mono: Monomial) -> Monomial:
