@@ -47,6 +47,20 @@ def test_round_trip(value, duplicate):
     assert hash(again) == hash(value)
 
 
+@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+def test_copies_keep_the_cached_generators(duplicate):
+    again = duplicate(SYSTEM)
+    assert not hasattr(again, "_generators")
+    assert again.generators() == SYSTEM._generators
+
+
+@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+def test_copies_keep_the_cached_steps(duplicate):
+    again = duplicate(SYSTEM)
+    assert not hasattr(again, "_steps")
+    assert again.steps() == SYSTEM.steps() == SYSTEM._steps
+
+
 @pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
 @pytest.mark.parametrize(
     "duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy], ids=["pickle", "deepcopy"]
