@@ -359,7 +359,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p_selftest = sub.add_parser("selftest", help="worked examples + numeric checks")
     p_selftest.add_argument("--samples", type=_sample_count, default=SELFTEST_SAMPLES)
     p_selftest.add_argument("--seed", type=_int_option, default=None)
-    p_selftest.add_argument("--json", action="store_true")
+    add_json(p_selftest)
     p_selftest.set_defaults(run=cmd_selftest)
     return parser
 

@@ -90,22 +90,20 @@ def pole_clearance(s: complex, shifts: Sequence[complex]) -> float:
     return min(nearest_pole(s + complex(a))[1] for a in shifts)
 
 
-def _check_poles(points: Iterable[complex], epsilon_pole: float) -> None:
-    """Raise ``PoleError`` at the first point within epsilon_pole of a pole."""
+def _check_poles(points: Iterable[complex]) -> None:
+    """Raise ``PoleError`` at the first point within EPSILON_POLE of a pole."""
     for z in points:
         pole, clearance = nearest_pole(z)
-        if clearance < epsilon_pole:
+        if clearance < EPSILON_POLE:
             raise PoleError(z, pole, clearance)
 
 
-def gamma_values(
-    points: Iterable[complex], epsilon_pole: float = EPSILON_POLE
-) -> List[complex]:
+def gamma_values(points: Iterable[complex]) -> List[complex]:
     """Gamma at every point, to about 1e-13 relative accuracy away from the
     poles.  Each step maps one operation over all points, so a point's value
     does not depend on the others."""
     points = list(map(complex, points))
-    _check_poles(points, epsilon_pole)
+    _check_poles(points)
     return _lanczos_values(points)
 
 
@@ -148,14 +146,9 @@ class ComplexSample(Record):
         setfield(self, "pole_clearance", pole_clearance)
 
 
-def draw_samples(
-    sys: ShiftSystem,
-    n_samples: int,
-    seed: int | random.Random,
-    epsilon_pole: float = EPSILON_POLE,
-) -> List[ComplexSample]:
+def draw_samples(sys: ShiftSystem, n_samples: int, seed: int) -> List[ComplexSample]:
     """Uniform pole-clear samples from the standard rectangle, seeded."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = random.Random(seed)
     shifts = [complex(a) for a in sys.shifts]
     samples: List[ComplexSample] = []
     attempts = 0
@@ -164,14 +157,14 @@ def draw_samples(
         if attempts >= limit:
             raise SamplingError(
                 f"drew only {len(samples)} of {n_samples} pole-clear points "
-                f"in {limit} attempts (epsilon_pole={epsilon_pole})"
+                f"in {limit} attempts (epsilon_pole={EPSILON_POLE})"
             )
         attempts += 1
         point = complex(
             rng.uniform(*SAMPLE_RE_RANGE), rng.uniform(*SAMPLE_IM_RANGE)
         )
         clearance = pole_clearance(point, shifts)
-        if clearance >= epsilon_pole:
+        if clearance >= EPSILON_POLE:
             samples.append(ComplexSample(point, clearance))
     return samples
 
@@ -226,9 +219,6 @@ def _evaluate(
     """Values and cancellation scales of p at every point: one Gamma pass
     per shift over all points, one float table and one kernel pass.  The
     caller has checked every shifted point for poles."""
-    if not points:
-        # No point, no evaluation: not even the arities are compared.
-        return [], []
     if p.arity != sys.arity:
         raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
     gammas = [_lanczos_values(list(map(add, points, repeat(a)))) for a in map(complex, sys.shifts)]
@@ -250,7 +240,7 @@ def evaluate_poly(
     ``draw_samples`` checks each sample of ``verify_verdict``.
     """
     s = complex(s)
-    _check_poles([s + a for a in map(complex, sys.shifts)], EPSILON_POLE)
+    _check_poles([s + a for a in map(complex, sys.shifts)])
     values, scales = _evaluate(p, sys, [s])
     return values[0], scales[0]
 
@@ -272,8 +262,6 @@ class VerificationReport(Record):
     """Numeric evidence for (or against) a symbolic membership verdict."""
 
     __slots__ = _fields = (
-        "polynomial",
-        "shifts",
         "member",
         "samples",
         "max_relative_residual",
@@ -285,8 +273,6 @@ class VerificationReport(Record):
 
     def __init__(
         self,
-        polynomial: GammaPoly,
-        shifts: Tuple,
         member: bool,
         samples: Tuple[SampleResidual, ...],
         max_relative_residual: float,
@@ -295,8 +281,6 @@ class VerificationReport(Record):
         tol: float,
         separation: float,
     ):
-        setfield(self, "polynomial", polynomial)
-        setfield(self, "shifts", shifts)
         setfield(self, "member", member)
         setfield(self, "samples", samples)
         setfield(self, "max_relative_residual", max_relative_residual)
@@ -332,7 +316,6 @@ def verify_verdict(
     seed: int = 0,
     tol: float = 1e-8,
     separation: Optional[float] = None,
-    epsilon_pole: float = EPSILON_POLE,
 ) -> VerificationReport:
     """Check a symbolic verdict against seeded samples.
 
@@ -344,7 +327,7 @@ def verify_verdict(
     if separation is None:
         separation = tol
     p = verdict.certificate.input
-    points = [sample.point for sample in draw_samples(sys, n_samples, seed, epsilon_pole)]
+    points = [sample.point for sample in draw_samples(sys, n_samples, seed)]
     # draw_samples has checked every (sample, shift) for poles.
     values, scales = _evaluate(p, sys, points)
     rows = list(map(SampleResidual, points, map(abs, values), scales))
@@ -354,13 +337,11 @@ def verify_verdict(
     else:
         consistent = any(row.relative >= separation for row in rows)
     return VerificationReport(
-        polynomial=p,
-        shifts=sys.shifts,
         member=verdict.is_member,
         samples=tuple(rows),
         max_relative_residual=max_relative,
         verdict_consistent=consistent,
-        seed=seed if isinstance(seed, int) else -1,
+        seed=seed,
         tol=tol,
         separation=separation,
     )
@@ -390,16 +371,16 @@ class SelftestReport(Record):
         return all(check.passed for check in self.checks)
 
 
-def _clear_samples(rng: random.Random, count: int, margin: float = 0.05) -> List[complex]:
+def _clear_samples(rng: random.Random, count: int) -> List[complex]:
     """Sample points keeping every value used by the identity checks clear of
-    poles by at least ``margin`` (the checks look at s, s+1, 2s, 3s, ...)."""
+    poles by at least 0.05 (the checks look at s, s+1, 2s, 3s, ...)."""
     points: List[complex] = []
     attempts = 0
     while len(points) < count and attempts < 200 * count:
         attempts += 1
         s = complex(rng.uniform(*SAMPLE_RE_RANGE), rng.uniform(*SAMPLE_IM_RANGE))
         probes = [s, s + 1, 2 * s, 3 * s, s + 0.5, s + 1 / 3, s + 2 / 3]
-        if all(nearest_pole(z)[1] >= margin for z in probes):
+        if all(nearest_pole(z)[1] >= 0.05 for z in probes):
             points.append(s)
     if len(points) < count:
         raise SamplingError(f"drew only {len(points)} of {count} selftest points")

@@ -611,9 +611,9 @@ def _hoists_minus(re: int, im: int) -> bool:
 
 
 def _power_term(
-    re: int, im: int, den: int, power: int, var: str, tail: Sequence[str] = ()
+    re: int, im: int, den: int, power: int, tail: Sequence[str] = ()
 ) -> Tuple[bool, str]:
-    """Render ``(re + im*i)/den * var^power * tail`` as (hoisted-negative,
+    """Render ``(re + im*i)/den * s^power * tail`` as (hoisted-negative,
     factor text).  A unit magnitude is left out unless nothing else would
     be printed."""
     negative = _hoists_minus(re, im)
@@ -623,20 +623,20 @@ def _power_term(
     if re != den or im or (power == 0 and not tail):
         factors.append(pair_factor_text(re, im, den))
     if power == 1:
-        factors.append(var)
+        factors.append("s")
     elif power > 1:
-        factors.append(f"{var}^{power}")
+        factors.append(f"s^{power}")
     factors.extend(tail)
     return negative, "*".join(factors)
 
 
-def _unipoly_terms(p: UniPoly, var: str) -> Iterable[Tuple[bool, str]]:
+def _unipoly_terms(p: UniPoly) -> Iterable[Tuple[bool, str]]:
     """The nonzero terms of ``p``, highest power first."""
     den = p._den
     for power in range(len(p._num) - 1, -1, -1):
         re, im = p._num[power]
         if re or im:
-            yield _power_term(re, im, den, power, var)
+            yield _power_term(re, im, den, power)
 
 
 def _joined(terms: Iterable[Tuple[bool, str]]) -> str:
@@ -647,8 +647,8 @@ def _joined(terms: Iterable[Tuple[bool, str]]) -> str:
     return "".join(pieces) or "0"
 
 
-def unipoly_text(p: UniPoly, var: str = "s") -> str:
-    return _joined(_unipoly_terms(p, var))
+def unipoly_text(p: UniPoly) -> str:
+    return _joined(_unipoly_terms(p))
 
 
 def _term_text(mono: Monomial, coeff: UniPoly) -> Tuple[bool, str]:
@@ -664,9 +664,9 @@ def _term_text(mono: Monomial, coeff: UniPoly) -> Tuple[bool, str]:
         # A sum of powers of s: parenthesized, with the sign of its leading
         # coefficient hoisted.
         negative = _hoists_minus(re, im)
-        body = _joined((sign != negative, text) for sign, text in _unipoly_terms(coeff, "s"))
+        body = _joined((sign != negative, text) for sign, text in _unipoly_terms(coeff))
         return negative, "*".join([f"({body})"] + gamma_factors)
-    return _power_term(re, im, coeff._den, len(num) - 1, "s", gamma_factors)
+    return _power_term(re, im, coeff._den, len(num) - 1, gamma_factors)
 
 
 def gamma_poly_text(p: GammaPoly) -> str:

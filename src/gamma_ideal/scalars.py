@@ -109,26 +109,10 @@ class GaussianRational:
         return GaussianRational._of(-self.re, -self.im, self.den)
 
     def _plus(self, re: int, im: int, den: int) -> GaussianRational:
-        """self + (re + im*i)/den for a canonical triple, reduced the way
-        ``Fraction`` addition reduces.
-
-        With g the gcd of the denominators, the cofactors a/g and den/g are
-        coprime.  A prime dividing a/g and both parts of the sum over the
-        lcm would divide both parts of ``self`` too, which is canonical; the
-        same holds for den/g.  So the parts share with the lcm only what
-        they share with g, and for g == 1 nothing.
-        """
+        """self + (re + im*i)/den, over the product of the denominators and
+        reduced by ``_of``."""
         a = self.den
-        g = gcd(a, den)
-        if g == 1:
-            return _raw(self.re * den + re * a, self.im * den + im * a, a * den)
-        a, b = a // g, den // g
-        re = self.re * b + re * a
-        im = self.im * b + im * a
-        h = gcd(g, re, im)
-        if h != 1:
-            re, im, g = re // h, im // h, g // h
-        return _raw(re, im, a * b * g)
+        return GaussianRational._of(self.re * den + re * a, self.im * den + im * a, a * den)
 
     def __add__(self, other: ScalarLike) -> GaussianRational:
         if not _scalar_operand(other):

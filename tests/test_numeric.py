@@ -155,13 +155,14 @@ def test_vector_pass_matches_the_scalar_lanczos_bit_for_bit():
     assert list(map(bits, gamma_values(points[::-1]))) == expected[::-1]
 
 
-def test_vector_pass_matches_the_scalar_lanczos_at_a_smaller_epsilon():
+def test_vector_pass_matches_the_scalar_lanczos_at_a_smaller_epsilon(monkeypatch):
     epsilon = 1e-9
     points = [pole + cmath.rect(epsilon * 1.01, math.radians(a)) for pole in (0, -3) for a in (0, 90, 200)]
     expected = [bits(reference_gamma(z, epsilon)) for z in points]
-    assert list(map(bits, gamma_values(points, epsilon))) == expected
     with pytest.raises(PoleError):
         gamma_values(points)
+    monkeypatch.setattr(numeric, "EPSILON_POLE", epsilon)
+    assert list(map(bits, gamma_values(points))) == expected
 
 
 @pytest.mark.parametrize(
@@ -235,10 +236,11 @@ def test_draw_samples_respects_clearance_and_domain():
         assert -3 <= sample.point.imag <= 3
 
 
-def test_draw_samples_gives_up_eventually():
+def test_draw_samples_gives_up_eventually(monkeypatch):
     sys = system("0")
+    monkeypatch.setattr(numeric, "EPSILON_POLE", 100.0)
     with pytest.raises(SamplingError):
-        draw_samples(sys, 5, seed=0, epsilon_pole=100.0)
+        draw_samples(sys, 5, seed=0)
 
 
 # -- polynomial evaluation
@@ -318,13 +320,14 @@ def test_reports_are_bit_deterministic():
     )
 
 
-def test_verify_checks_poles_at_the_epsilon_it_samples_with():
+def test_verify_checks_poles_at_the_epsilon_it_samples_with(monkeypatch):
     # Seed 167 draws a sample whose shifted argument is 0.0008 from the pole
-    # at -2: clear at epsilon_pole=1e-6, so Gamma must be evaluated there.
+    # at -2: clear at a pole margin of 1e-6, so Gamma must be evaluated there.
     sys = system(",".join(f"{k}/40" for k in range(40)))
     verdict = decide_membership(GammaPoly.variable(40, 0), sys)
-    assert min(s.pole_clearance for s in draw_samples(sys, 20, 167, 1e-6)) < EPSILON_POLE
-    report = verify_verdict(verdict, sys, n_samples=20, seed=167, epsilon_pole=1e-6)
+    monkeypatch.setattr(numeric, "EPSILON_POLE", 1e-6)
+    assert min(s.pole_clearance for s in draw_samples(sys, 20, 167)) < EPSILON_POLE
+    report = verify_verdict(verdict, sys, n_samples=20, seed=167)
     assert len(report.samples) == 20 and report.verdict_consistent
 
 
@@ -449,7 +452,7 @@ def test_arity_and_pole_errors_are_raised_as_before():
         evaluate_poly(GammaPoly.variable(2, 0), system("0"), complex(1))
     with pytest.raises(PoleError):
         evaluate_poly(GammaPoly.variable(1, 0), system("0"), complex(0))
-    # No sample, no evaluation: a mismatched polynomial goes unnoticed, as before.
+    # The arities are compared even when no sample is drawn.
     verdict = decide_membership(GammaPoly.zero(2), system("0,1"))
-    report = verify_verdict(verdict, system("0"), n_samples=0)
-    assert report.samples == ()
+    with pytest.raises(ValueError, match="arity mismatch"):
+        verify_verdict(verdict, system("0"), n_samples=0)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import gamma_ideal.scalars as scalars_module
 from gamma_ideal.parser import parse_scalar
 from gamma_ideal.scalars import (
     I,
@@ -228,36 +226,3 @@ def test_instances_hold_only_the_triple():
         z.re = 1
     with pytest.raises(AttributeError):
         del z.den
-
-
-def test_sums_reduce_over_the_gcd_of_the_denominators(monkeypatch):
-    """``a + b`` first takes g = gcd(a.den, b.den), as ``Fraction`` does, and
-    then only a gcd led by g: none led by a numerator or by the product of
-    the denominators, which grow with every term of a long sum."""
-    rng = random.Random(1)
-    values = [
-        GaussianRational._of(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
-        for _ in range(400)
-    ]
-    leads = []
-
-    def recording_gcd(*args):
-        leads.append(abs(args[0]))
-        return gcd(*args)
-
-    total, expected = ZERO, (Fraction(0), Fraction(0))
-    for a, b in zip(values[::2], values[1::2]):
-        product, quotient = a * b, a / (b + 1000)
-        with monkeypatch.context() as patch:
-            patch.setattr(scalars_module, "gcd", recording_gcd)
-            partial = total + product
-            after = partial - quotient
-        assert leads and max(leads) <= max(total.den, product.den, partial.den, quotient.den)
-        leads.clear()
-        total = after
-        expected = (
-            expected[0] + product.real - quotient.real,
-            expected[1] + product.imag - quotient.imag,
-        )
-    assert total.den.bit_length() > 1000
-    checked(total, expected)

@@ -44,10 +44,11 @@ def test_verify_runs_one_kernel_and_one_gamma_pass_per_shift(monkeypatch, name):
 def test_verify_checks_each_drawn_point_for_poles_once(monkeypatch, name):
     sys, poly = INPUTS[name]()
     verdict = decide_membership(poly, sys)
-    expected = verify_verdict(verdict, sys, n_samples=20, seed=3, epsilon_pole=1.0)
+    monkeypatch.setattr(numeric, "EPSILON_POLE", 1.0)
+    expected = verify_verdict(verdict, sys, n_samples=20, seed=3)
     attempts = counter(monkeypatch, numeric, "pole_clearance")
     checks = counter(monkeypatch, numeric, "nearest_pole")
-    report = verify_verdict(verdict, sys, n_samples=20, seed=3, epsilon_pole=1.0)
+    report = verify_verdict(verdict, sys, n_samples=20, seed=3)
     assert report == expected
     assert len(attempts) > len(report.samples), "some draws should land near a pole"
     assert len(checks) == len(attempts) * sys.arity
