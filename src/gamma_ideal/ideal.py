@@ -106,14 +106,21 @@ NON_MEMBER_BASIS = (
 
 
 class Verdict(Record):
-    """Outcome of a membership query, always carrying its certificate."""
+    """Outcome of a membership query: its certificate, from which membership
+    (a zero normal form) and its basis are read."""
 
-    __slots__ = _fields = ("is_member", "certificate", "theorem_basis")
+    __slots__ = _fields = ("certificate",)
 
-    def __init__(self, is_member: bool, certificate: Certificate, theorem_basis: str):
-        setfield(self, "is_member", is_member)
+    def __init__(self, certificate: Certificate):
         setfield(self, "certificate", certificate)
-        setfield(self, "theorem_basis", theorem_basis)
+
+    @property
+    def is_member(self) -> bool:
+        return self.normal_form.is_zero()
+
+    @property
+    def theorem_basis(self) -> str:
+        return MEMBER_BASIS if self.is_member else NON_MEMBER_BASIS
 
     @property
     def normal_form(self) -> GammaPoly:
@@ -240,9 +247,4 @@ def decide_membership(p: GammaPoly, sys: ShiftSystem) -> Verdict:
         raise AssertionError("certificate and substitution normal forms disagree")
     if not certificate.is_exact():
         raise AssertionError("certificate failed to re-expand to the input")
-    member = certificate.normal_form.is_zero()
-    return Verdict(
-        is_member=member,
-        certificate=certificate,
-        theorem_basis=MEMBER_BASIS if member else NON_MEMBER_BASIS,
-    )
+    return Verdict(certificate)

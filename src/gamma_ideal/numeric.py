@@ -261,33 +261,35 @@ class SampleResidual(Record):
 class VerificationReport(Record):
     """Numeric evidence for (or against) a symbolic membership verdict."""
 
-    __slots__ = _fields = (
-        "member",
-        "samples",
-        "max_relative_residual",
-        "verdict_consistent",
-        "seed",
-        "tol",
-        "separation",
-    )
+    __slots__ = _fields = ("member", "samples", "seed", "tol", "separation")
 
     def __init__(
         self,
         member: bool,
         samples: Tuple[SampleResidual, ...],
-        max_relative_residual: float,
-        verdict_consistent: bool,
         seed: int,
         tol: float,
         separation: float,
     ):
         setfield(self, "member", member)
         setfield(self, "samples", samples)
-        setfield(self, "max_relative_residual", max_relative_residual)
-        setfield(self, "verdict_consistent", verdict_consistent)
         setfield(self, "seed", seed)
         setfield(self, "tol", tol)
         setfield(self, "separation", separation)
+
+    @property
+    def max_relative_residual(self) -> float:
+        return max((row.relative for row in self.samples), default=0.0)
+
+    @property
+    def verdict_consistent(self) -> bool:
+        """Member: every relative residual must stay below tol.  Non-member:
+        at least one sample must reach the separation threshold; the verdict
+        is flagged inconsistent only when all samples look like an identity.
+        """
+        if self.member:
+            return all(row.relative < self.tol for row in self.samples)
+        return any(row.relative >= self.separation for row in self.samples)
 
     def as_payload(self) -> dict:
         return {
@@ -317,47 +319,30 @@ def verify_verdict(
     tol: float = 1e-8,
     separation: Optional[float] = None,
 ) -> VerificationReport:
-    """Check a symbolic verdict against seeded samples.
-
-    Member: every relative residual must stay below tol.  Non-member: at
-    least one sample must reach the separation threshold (default: tol);
-    the verdict is flagged inconsistent only when all samples look like an
-    identity.
-    """
+    """Check a symbolic verdict against seeded samples; the report holds
+    the residuals and judges them (the separation defaults to tol)."""
     if separation is None:
         separation = tol
     p = verdict.certificate.input
     points = [sample.point for sample in draw_samples(sys, n_samples, seed)]
     # draw_samples has checked every (sample, shift) for poles.
     values, scales = _evaluate(p, sys, points)
-    rows = list(map(SampleResidual, points, map(abs, values), scales))
-    max_relative = max((row.relative for row in rows), default=0.0)
-    if verdict.is_member:
-        consistent = all(row.relative < tol for row in rows)
-    else:
-        consistent = any(row.relative >= separation for row in rows)
-    return VerificationReport(
-        member=verdict.is_member,
-        samples=tuple(rows),
-        max_relative_residual=max_relative,
-        verdict_consistent=consistent,
-        seed=seed,
-        tol=tol,
-        separation=separation,
-    )
+    rows = tuple(map(SampleResidual, points, map(abs, values), scales))
+    return VerificationReport(verdict.is_member, rows, seed, tol, separation)
 
 
 class CheckResult(Record):
-    __slots__ = _fields = ("name", "samples", "max_relative_error", "threshold", "passed")
+    __slots__ = _fields = ("name", "samples", "max_relative_error", "threshold")
 
-    def __init__(
-        self, name: str, samples: int, max_relative_error: float, threshold: float, passed: bool
-    ):
+    def __init__(self, name: str, samples: int, max_relative_error: float, threshold: float):
         setfield(self, "name", name)
         setfield(self, "samples", samples)
         setfield(self, "max_relative_error", max_relative_error)
         setfield(self, "threshold", threshold)
-        setfield(self, "passed", passed)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_relative_error < self.threshold
 
 
 class SelftestReport(Record):
@@ -402,7 +387,7 @@ def selftest_functional_equations(
     worst = 0.0
     for s, lhs, g in zip(points, gamma_values(map(add, points, repeat(1))), gamma_values(points)):
         worst = max(worst, abs(lhs - s * g) / abs(lhs))
-    checks.append(CheckResult("recurrence", len(points), worst, 1e-10, worst < 1e-10))
+    checks.append(CheckResult("recurrence", len(points), worst, 1e-10))
 
     mult_points = points[: max(1, min(50, len(points)))]
     for n in (2, 3):
@@ -414,11 +399,7 @@ def selftest_functional_equations(
             for g in gammas:
                 rhs *= g
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
-        checks.append(
-            CheckResult(
-                f"multiplication_n{n}", len(mult_points), worst, 1e-8, worst < 1e-8
-            )
-        )
+        checks.append(CheckResult(f"multiplication_n{n}", len(mult_points), worst, 1e-8))
 
     worst = 0.0
     strip = [complex(rng.uniform(0.55, 0.95), rng.uniform(-2.0, 2.0)) for _ in points]
@@ -426,16 +407,16 @@ def selftest_functional_equations(
     for s, direct, g in zip(strip, gamma_values(strip), mirrored):
         reflected = math.pi / (cmath.sin(math.pi * s) * g)
         worst = max(worst, abs(direct - reflected) / abs(direct))
-    checks.append(CheckResult("reflection", len(strip), worst, 1e-10, worst < 1e-10))
+    checks.append(CheckResult("reflection", len(strip), worst, 1e-10))
 
     half = gamma_eval(0.5)
     err = abs(half * half - math.pi) / math.pi
-    checks.append(CheckResult("gamma_half_squared", 1, err, 1e-12, err < 1e-12))
+    checks.append(CheckResult("gamma_half_squared", 1, err, 1e-12))
 
     worst = 0.0
     for k, value in enumerate(gamma_values(range(1, 11)), start=1):
         exact = float(math.factorial(k - 1))
         worst = max(worst, abs(value - exact) / exact)
-    checks.append(CheckResult("integer_factorials", 10, worst, 1e-12, worst < 1e-12))
+    checks.append(CheckResult("integer_factorials", 10, worst, 1e-12))
 
     return SelftestReport(tuple(checks))

@@ -72,26 +72,21 @@ class ShiftSystem(Record):
     """An ordered shift tuple with its integer-difference class structure.
 
     ``classes`` lists index classes sorted by offset from the class
-    representative (which therefore comes first); ``representatives`` is
-    aligned with ``classes``.  Build instances with ``build_shift_system``.
-    Each index's offset is derived once, on construction; the
-    generators and the steps are computed on first use into the slots
-    ``_generators`` and ``_steps``.  Pickling and copying rebuild a system
+    representative (which therefore comes first); ``representatives``, each
+    class's first member, is aligned with ``classes``.  Build instances with
+    ``build_shift_system``.  The representatives and each index's offset are
+    derived once, on construction; the generators and the steps are computed
+    on first use into the slots ``_generators`` and ``_steps``.  Pickling and copying rebuild a system
     from its fields, so a copy computes them again on its own first use.
     """
 
-    _fields = ("shifts", "classes", "representatives")
-    __slots__ = _fields + ("_offset", "_generators", "_steps")
+    _fields = ("shifts", "classes")
+    __slots__ = _fields + ("representatives", "_offset", "_generators", "_steps")
 
-    def __init__(
-        self,
-        shifts: Tuple[GaussianRational, ...],
-        classes: Tuple[Tuple[int, ...], ...],
-        representatives: Tuple[int, ...],
-    ):
+    def __init__(self, shifts: Tuple[GaussianRational, ...], classes: Tuple[Tuple[int, ...], ...]):
         setfield(self, "shifts", shifts)
         setfield(self, "classes", classes)
-        setfield(self, "representatives", representatives)
+        setfield(self, "representatives", tuple(cls[0] for cls in classes))
         offset = [0] * len(shifts)
         for cls in classes:
             base = shifts[cls[0]]
@@ -190,7 +185,7 @@ def build_shift_system(shifts: Sequence[ScalarLike]) -> ShiftSystem:
             "a repeated Gamma argument is degenerate"
         )
     classes = tuple(tuple(sorted(group, key=lambda k: values[k].re)) for group in groups.values())
-    return ShiftSystem(values, classes, tuple(cls[0] for cls in classes))
+    return ShiftSystem(values, classes)
 
 
 def _relation(arity: int, source: int, target: int, multiplier: UniPoly) -> Relation:

@@ -1,9 +1,17 @@
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gamma_ideal.cli as cli
 import gamma_ideal.numeric as numeric
 from gamma_ideal.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 IDENTITY = "G(0)*G(2)-G(1)^2-G(0)*G(1)"
 
@@ -422,3 +430,47 @@ def test_selftest_samples_what_it_is_asked(capsys):
     checks = {check["name"]: check for check in json.loads(out)["checks"]}
     assert code == 0
     assert checks["recurrence"]["detail"].endswith(", 20 samples)")
+
+
+def test_cli_defaults_match_the_library_defaults():
+    """The CLI copies these defaults so that parsing arguments need not
+    import ``numeric``; each copy must equal the default it copies."""
+    verify = inspect.signature(numeric.verify_verdict).parameters
+    selftest = inspect.signature(numeric.selftest_functional_equations).parameters
+    assert cli.DEFAULT_SAMPLES == verify["n_samples"].default
+    assert cli.DEFAULT_SEED == verify["seed"].default == selftest["seed"].default
+    assert cli.DEFAULT_TOL == verify["tol"].default
+    assert cli.SELFTEST_SAMPLES == selftest["n_samples"].default
+
+
+# -- entry points
+
+
+@pytest.mark.parametrize(
+    "text, code, first_line",
+    [("G(1)-s*G(0)", 0, "verdict: member"), ("G(1)-G(0)", 1, "verdict: non-member")],
+    ids=["member", "non-member"],
+)
+def test_python_dash_m_runs_the_cli(text, code, first_line):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("GAMMA_IDEAL_SEED", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "gamma_ideal", "member", "0,1", text],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (code, "")
+    assert done.stdout.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["member", "0,1", "G(1)-s*G(0)"], ["member", "0,1", "G(1)-G(0)"]],
+    ids=["member", "non-member"],
+)
+def test_console_main_exits_with_the_code_of_main(capsys, monkeypatch, argv):
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["gamma-ideal", *argv])
+    with pytest.raises(SystemExit) as raised:
+        cli.console_main()
+    captured = capsys.readouterr()
+    assert (raised.value.code, captured.out, captured.err) == expected

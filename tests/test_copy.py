@@ -36,6 +36,13 @@ VALUES = [
     verify_verdict(VERDICT, SYSTEM, n_samples=3),
 ]
 
+#: The values each type derives from its fields rather than storing them.
+DERIVED = {
+    "ShiftSystem": ("representatives",),
+    "Verdict": ("is_member", "theorem_basis"),
+    "VerificationReport": ("max_relative_residual", "verdict_consistent"),
+}
+
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 @pytest.mark.parametrize(
@@ -45,6 +52,8 @@ def test_round_trip(value, duplicate):
     again = duplicate(value)
     assert type(again) is type(value) and again == value and repr(again) == repr(value)
     assert hash(again) == hash(value)
+    for name in DERIVED.get(type(value).__name__, ()):
+        assert getattr(again, name) == getattr(value, name), name
 
 
 @pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])

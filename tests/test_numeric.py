@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gamma_ideal.numeric as numeric
-from gamma_ideal.ideal import decide_membership
+from gamma_ideal.ideal import MEMBER_BASIS, NON_MEMBER_BASIS, decide_membership
 from gamma_ideal.numeric import (
     EPSILON_POLE,
     LANCZOS_COEFFICIENTS,
     LANCZOS_G,
+    CheckResult,
     ComplexSample,
     PoleError,
     SampleResidual,
@@ -36,7 +37,9 @@ from gamma_ideal.numeric import (
 from gamma_ideal.parser import parse_gamma_poly, parse_shifts
 from gamma_ideal.poly import GammaPoly
 from gamma_ideal.shifts import build_shift_system
-from strategies import chain_member, random_member, random_poly, random_shift_system
+from strategies import (
+    chain_member, random_member, random_poly, random_shift_system, system_with_polys,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -340,6 +343,34 @@ def test_separation_threshold_is_adjustable():
     assert not impossible.verdict_consistent
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    system_with_polys(require_relation=True),
+    st.booleans(),
+    st.integers(0, 2**16),
+    st.sampled_from([None, 1e-4, 1e12]),
+)
+def test_verdicts_and_reports_derive_what_they_do_not_store(drawn, member, seed, separation):
+    """Membership and its basis follow the certificate; the report's maximum
+    and consistency follow its rows, tol and separation."""
+    sys, p = drawn
+    if member:
+        p = random_member(sys, seed)
+    verdict = decide_membership(p, sys)
+    assert verdict.is_member == verdict.certificate.normal_form.is_zero()
+    assert verdict.theorem_basis == (MEMBER_BASIS if verdict.is_member else NON_MEMBER_BASIS)
+    report = verify_verdict(verdict, sys, n_samples=4, seed=seed, separation=separation)
+    assert report.member == verdict.is_member
+    assert report.separation == (report.tol if separation is None else separation)
+    relatives = [row.residual / row.scale if row.scale > 0 else 0.0 for row in report.samples]
+    assert report.max_relative_residual == max(relatives, default=0.0)
+    if report.member:
+        consistent = all(r < report.tol for r in relatives)
+    else:
+        consistent = any(r >= report.separation for r in relatives)
+    assert report.verdict_consistent == consistent
+
+
 # -- functional-equation selftest
 
 
@@ -363,6 +394,12 @@ def test_selftest_catches_a_corrupted_coefficient(monkeypatch):
     monkeypatch.setattr(numeric, "LANCZOS_COEFFICIENTS", tuple(broken))
     report = selftest_functional_equations(n_samples=40, seed=5)
     assert not report.ok
+
+
+def test_a_check_fails_at_its_threshold():
+    assert CheckResult("edge", 1, 1e-10 * (1 - 1e-15), 1e-10).passed
+    assert not CheckResult("edge", 1, 1e-10, 1e-10).passed
+    assert not CheckResult("edge", 1, math.nan, 1e-10).passed
 
 
 # -- the float table against the per-sample reference
