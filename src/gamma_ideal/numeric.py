@@ -157,7 +157,7 @@ def draw_samples(sys: ShiftSystem, n_samples: int, seed: int) -> List[ComplexSam
         if attempts >= limit:
             raise SamplingError(
                 f"drew only {len(samples)} of {n_samples} pole-clear points "
-                f"in {limit} attempts (epsilon_pole={EPSILON_POLE})"
+                f"in {limit} attempts (EPSILON_POLE={EPSILON_POLE})"
             )
         attempts += 1
         point = complex(

@@ -368,7 +368,7 @@ def lower_to_poly(node: ExprAst, arity: int) -> GammaPoly:
         if not (re or im):
             continue
         mono = tuple(exponents)
-        coeff = UniPoly._canonical([(0, 0)] * power + [(re, im)], den)
+        coeff = UniPoly._canonical([0] * power + [re], [0] * power + [im], den)
         if not polys:
             sums.add(mono, coeff)
             continue

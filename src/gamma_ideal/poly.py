@@ -4,14 +4,15 @@ Two layers:
 
 * ``UniPoly`` -- dense univariate polynomials in the argument variable
   (printed as ``s``), used for the coefficients of the multivariate layer
-  and for the shift multipliers.  A polynomial is stored as a tuple of
-  Gaussian integers ``(re, im)``, plain int pairs, over one positive common
-  denominator, kept primitive: the denominator and all the parts have no
-  common factor.  It is the storage of ``GaussianRational`` (an
-  ``(re, im, den)`` int triple) with one denominator for all coefficients,
-  so building a polynomial from scalars and reading ``coeffs`` back only
-  rescale ints.  Arithmetic, printing and the complex doubles of the
-  numeric oracle (``complex_coeffs``) work on the ints directly.
+  and for the shift multipliers.  A polynomial is stored as two int tuples
+  of equal length, the real and the imaginary parts of its Gaussian-integer
+  numerators, over one positive common denominator, kept primitive: the
+  denominator and all the parts have no common factor.  It is the storage
+  of ``GaussianRational`` (an ``(re, im, den)`` int triple) with one
+  denominator for all coefficients, so building a polynomial from scalars
+  and reading ``coeffs`` back only rescale ints.  Arithmetic, printing and
+  the complex doubles of the numeric oracle (``complex_coeffs``) work on
+  the ints directly, in the same split layout.
 
 * ``GammaPoly`` -- sparse multivariate polynomials in placeholders
   ``G(0), ..., G(n-1)`` standing for Gamma values at shifted arguments.
@@ -22,8 +23,8 @@ Two layers:
   Zero coefficients are never stored, so structural equality of the maps is
   polynomial equality.  The constructor's merge of repeated monomials,
   sums, products and the rewrite passes of ``ideal`` accumulate in
-  ``TermSums``: exact int lists per monomial, each made canonical once,
-  when the result is built.
+  ``TermSums``: the same real and imaginary parts per monomial as int
+  lists, each made canonical once, when the result is built.
 
 Monomials are plain exponent tuples.  They are ordered lexicographically,
 scanning from index 0: the first differing exponent decides, larger wins.
@@ -34,7 +35,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import count, zip_longest
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
@@ -83,9 +84,8 @@ def monomial_degree(m: Monomial) -> int:
 # univariate layer
 
 UniPolyLike = Union["UniPoly", GaussianRational, int]
-
-#: A Gaussian integer re + im*i.
-Pair = Tuple[int, int]
+#: A Gaussian-integer sequence as its (real parts, imaginary parts).
+Parts = Tuple[Sequence[int], Sequence[int]]
 
 
 class UniPoly:
@@ -94,51 +94,49 @@ class UniPoly:
 
     ``UniPoly(coeffs)`` takes scalars in ascending powers; ``coeffs`` gives
     them back as ``GaussianRational`` values.  Inside, the d-th coefficient is
-    ``(re_d + im_d*i) / den`` with int parts.  Every instance is canonical:
-    trailing zeros are stripped (the zero polynomial has no pairs and
-    ``den`` 1), ``den`` is positive and shares no factor with all the parts
-    at once.  So equal polynomials have equal storage, and structural
-    equality and the hash are polynomial equality.
+    ``(_re[d] + _im[d]*i) / _den``: ``_re`` and ``_im`` are int tuples of
+    equal length, the layout the arithmetic computes in.  Every instance is
+    canonical: trailing zeros are stripped (the zero polynomial has empty
+    parts and ``den`` 1), ``den`` is positive and shares no factor with all
+    the parts at once.  So equal polynomials have equal storage, and
+    structural equality and the hash are polynomial equality.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, coeffs: Sequence[ScalarLike] = ()):
         scalars = [to_scalar(c) for c in coeffs]
-        # Over the lcm of canonical denominators the parts have no common factor.
         den = lcm(*(c.den for c in scalars))
-        num = [(c.re * (den // c.den), c.im * (den // c.den)) for c in scalars]
-        while num and num[-1] == (0, 0):
-            num.pop()
-        self._num: Tuple[Pair, ...] = tuple(num)
-        self._den: int = den if num else 1
+        re = [c.re * (den // c.den) for c in scalars]
+        p = UniPoly._canonical(re, [c.im * (den // c.den) for c in scalars], den)
+        self._re, self._im, self._den = p._re, p._im, p._den
 
     @classmethod
-    def _canonical(cls, num: Sequence[Pair], den: int) -> UniPoly:
-        """The instance for ``sum num[d] s^d / den`` with ``den`` positive:
-        strips trailing zeros and divides out the common factor."""
-        end = len(num)
-        while end and num[end - 1] == (0, 0):
+    def _canonical(cls, re: Sequence[int], im: Sequence[int], den: int) -> UniPoly:
+        """The instance for ``sum (re[d] + im[d]*i) s^d / den``, with parts of
+        equal length and ``den`` positive: strips trailing zeros and divides
+        out the common factor."""
+        end = len(re)
+        while end and not (re[end - 1] or im[end - 1]):
             end -= 1
         if not end:
-            return cls._raw((), 1)
-        num = num[:end]
+            return cls._raw((), (), 1)
+        if end < len(re):
+            re, im = re[:end], im[:end]
         if den != 1:
-            g = den
-            for re, im in num:
-                g = gcd(g, re, im)
-                if g == 1:
-                    break
+            g = gcd(den, *re, *im)
             if g != 1:
-                num = [(re // g, im // g) for re, im in num]
+                re = [r // g for r in re]
+                im = [i // g for i in im]
                 den //= g
-        return cls._raw(tuple(num), den)
+        return cls._raw(tuple(re), tuple(im), den)
 
     @classmethod
-    def _raw(cls, num: Tuple[Pair, ...], den: int) -> UniPoly:
+    def _raw(cls, re: Tuple[int, ...], im: Tuple[int, ...], den: int) -> UniPoly:
         """Wrap storage that is already canonical."""
         p = object.__new__(cls)
-        p._num = num
+        p._re = re
+        p._im = im
         p._den = den
         return p
 
@@ -146,11 +144,11 @@ class UniPoly:
 
     @classmethod
     def zero(cls) -> UniPoly:
-        return cls._raw((), 1)
+        return cls._raw((), (), 1)
 
     @classmethod
     def one(cls) -> UniPoly:
-        return cls._raw(((1, 0),), 1)
+        return cls._raw((1,), (0,), 1)
 
     @classmethod
     def constant(cls, value: ScalarLike) -> UniPoly:
@@ -158,7 +156,7 @@ class UniPoly:
 
     @classmethod
     def x(cls) -> UniPoly:
-        return cls._raw(((0, 0), (1, 0)), 1)
+        return cls._raw((0, 1), (0, 0), 1)
 
     @classmethod
     def linear(cls, shift: ScalarLike) -> UniPoly:
@@ -171,36 +169,36 @@ class UniPoly:
     def coeffs(self) -> Tuple[GaussianRational, ...]:
         """The coefficients in ascending powers, as exact scalars."""
         den = self._den
-        return tuple(GaussianRational._of(re, im, den) for re, im in self._num)
+        return tuple(GaussianRational._of(re, im, den) for re, im in zip(self._re, self._im))
 
     @property
     def degree(self) -> Union[int, float]:
-        return len(self._num) - 1 if self._num else MINUS_INFINITY
+        return len(self._re) - 1 if self._re else MINUS_INFINITY
 
     @property
     def leading_coefficient(self) -> GaussianRational:
-        if not self._num:
+        if not self._re:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return GaussianRational._of(*self._num[-1], self._den)
+        return GaussianRational._of(self._re[-1], self._im[-1], self._den)
 
     def coefficient(self, power: int) -> GaussianRational:
-        if 0 <= power < len(self._num):
-            return GaussianRational._of(*self._num[power], self._den)
+        if 0 <= power < len(self._re):
+            return GaussianRational._of(self._re[power], self._im[power], self._den)
         return ZERO
 
     def __bool__(self) -> bool:
-        return bool(self._num)
+        return bool(self._re)
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not self._re
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self._den == other._den and self._num == other._num
+        return self._den == other._den and self._re == other._re and self._im == other._im
 
     def __hash__(self) -> int:
-        return hash((self._den, self._num))
+        return hash((self._den, self._re, self._im))
 
     def __repr__(self) -> str:
         return f"UniPoly({self.coeffs!r})"
@@ -208,18 +206,20 @@ class UniPoly:
     # -- ring operations
 
     def __neg__(self) -> UniPoly:
-        return UniPoly._raw(tuple((-re, -im) for re, im in self._num), self._den)
+        return UniPoly._raw(tuple([-r for r in self._re]), tuple([-i for i in self._im]), self._den)
 
     def _combine(self, other: UniPoly, sign: int) -> UniPoly:
         """self + sign*other over the least common denominator."""
         g = gcd(self._den, other._den)
         scale_self = other._den // g
         scale_other = sign * (self._den // g)
-        summed = [
-            (ar * scale_self + br * scale_other, ai * scale_self + bi * scale_other)
-            for (ar, ai), (br, bi) in zip_longest(self._num, other._num, fillvalue=(0, 0))
+        re = [
+            a * scale_self + b * scale_other for a, b in zip_longest(self._re, other._re, fillvalue=0)
         ]
-        return UniPoly._canonical(summed, self._den * scale_self)
+        im = [
+            a * scale_self + b * scale_other for a, b in zip_longest(self._im, other._im, fillvalue=0)
+        ]
+        return UniPoly._canonical(re, im, self._den * scale_self)
 
     def __add__(self, other: UniPolyLike) -> UniPoly:
         if not _unipoly_operand(other):
@@ -240,12 +240,12 @@ class UniPoly:
         if not _unipoly_operand(other):
             return NotImplemented
         other = _to_unipoly(other)
-        if not self._num or not other._num:
+        if not self._re or not other._re:
             return UniPoly.zero()
-        size = len(self._num) + len(other._num) - 1
+        size = len(self._re) + len(other._re) - 1
         re, im = [0] * size, [0] * size
-        _convolve_into(re, im, self._num, other._num)
-        return UniPoly._canonical(list(zip(re, im)), self._den * other._den)
+        _convolve_into(re, im, (self._re, self._im), (other._re, other._im))
+        return UniPoly._canonical(re, im, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -268,7 +268,7 @@ class UniPoly:
         # int / int is correctly rounded, so each coefficient converts to the
         # same double as its reduced fraction would.
         den = self._den
-        return tuple([complex(re / den, im / den) for re, im in reversed(self._num)])
+        return tuple([complex(re / den, im / den) for re, im in zip(self._re, self._im)][::-1])
 
     def compose_shift(self, offset: ScalarLike) -> UniPoly:
         """The polynomial evaluated at (s + offset)."""
@@ -282,22 +282,25 @@ class UniPoly:
         return unipoly_text(self)
 
 
-def _convolve_into(re: List[int], im: List[int], a: Sequence[Pair], b: Sequence[Pair]) -> None:
-    """Add the product of the Gaussian-integer sequences a and b into the
-    parts re and im, which must be at least len(a) + len(b) - 1 long."""
-    b_real = not any(bi for _, bi in b)
-    for i, (ar, ai) in enumerate(a):
+def _convolve_into(re: List[int], im: List[int], a: Parts, b: Parts) -> None:
+    """Add the product of the Gaussian-integer sequences a and b, each given
+    as its (real parts, imaginary parts), into the parts re and im, which
+    must be at least len(a[0]) + len(b[0]) - 1 long."""
+    a_re, a_im = a
+    b_re, b_im = b
+    b_real = not any(b_im)
+    for i, ar, ai in zip(count(), a_re, a_im):
         if ai:
-            for k, (br, bi) in enumerate(b, i):
+            for k, br, bi in zip(count(i), b_re, b_im):
                 re[k] += ar * br - ai * bi
                 im[k] += ar * bi + ai * br
         elif not ar:
             continue
         elif b_real:
-            for k, (br, _) in enumerate(b, i):
+            for k, br in enumerate(b_re, i):
                 re[k] += ar * br
         else:
-            for k, (br, bi) in enumerate(b, i):
+            for k, br, bi in zip(count(i), b_re, b_im):
                 re[k] += ar * br
                 im[k] += ar * bi
 
@@ -492,21 +495,19 @@ def signed_sum(arity: int, parts: Iterable[Tuple[int, GammaPoly]]) -> GammaPoly:
     return GammaPoly._build(arity, merged.terms())
 
 
-_UNIT = ((1, 0),)
-
-
 class TermSums:
     """An exact running sum of nonzero ``UniPoly`` coefficients per key (a
     monomial, or any hashable group key), made canonical once, at the end.
 
     A key holds the one coefficient added to it so far, by reference, and
-    from the second addend on a ``[re, im, den]`` entry: the parts of the sum
-    as int lists over one denominator.  An addend over a denominator that
-    does not divide the entry's rescales the entry to their least common
-    multiple; a product is convolved straight into the lists.  A key whose
+    from the second addend on a ``[re, im, den]`` entry: the real and
+    imaginary parts of the sum as int lists over one denominator, the
+    layout of ``UniPoly`` with lists in place of tuples.  An addend over a
+    denominator that does not divide the entry's rescales the entry to their
+    least common multiple; a product is convolved straight into the lists.  A key whose
     sum cancels leaves the map and one that comes back is appended, so the
-    key order is that of adding one ``UniPoly`` at a time.  ``terms`` makes
-    each entry canonical and passes the rest through untouched.
+    key order is that of adding one ``UniPoly`` at a time.  ``terms`` passes
+    each entry to ``UniPoly._canonical`` and the rest through untouched.
     """
 
     __slots__ = ("_sums",)
@@ -519,9 +520,8 @@ class TermSums:
         if held is None:
             self._sums[key] = coeff
             return
-        num = coeff._num
-        re, im, scale = self._open(key, held, len(num), coeff._den)
-        for d, (r, i) in enumerate(num):
+        re, im, scale = self._open(key, held, len(coeff._re), coeff._den)
+        for d, r, i in zip(count(), coeff._re, coeff._im):
             re[d] += r * scale
             im[d] += i * scale
         if not any(re) and not any(im):
@@ -530,25 +530,26 @@ class TermSums:
     def add_product(self, key, a: UniPoly, b: UniPoly) -> None:
         """Add a * b at ``key``, convolved into the entry with the shorter
         operand driving the outer loop; a factor 1 is left out."""
-        if len(b._num) < len(a._num):
+        if len(b._re) < len(a._re):
             a, b = b, a
-        a_num, b_num = a._num, b._num
-        if b_num == _UNIT and b._den == 1:
+        if b._re == (1,) and b._im == (0,) and b._den == 1:
             return self.add(key, a)
-        if a_num == _UNIT and a._den == 1:
+        if a._re == (1,) and a._im == (0,) and a._den == 1:
             return self.add(key, b)
+        a_re, a_im = a._re, a._im
         den = a._den * b._den
-        size = len(a_num) + len(b_num) - 1
+        size = len(a_re) + len(b._re) - 1
         held = self._sums.get(key)
         if held is None:
             re, im = [0] * size, [0] * size
-            _convolve_into(re, im, a_num, b_num)
+            _convolve_into(re, im, (a_re, a_im), (b._re, b._im))
             self._sums[key] = [re, im, den]
             return
         re, im, scale = self._open(key, held, size, den)
         if scale != 1:
-            a_num = [(r * scale, i * scale) for r, i in a_num]
-        _convolve_into(re, im, a_num, b_num)
+            a_re = [r * scale for r in a_re]
+            a_im = [i * scale for i in a_im]
+        _convolve_into(re, im, (a_re, a_im), (b._re, b._im))
         if not any(re) and not any(im):
             del self._sums[key]
 
@@ -556,9 +557,7 @@ class TermSums:
         """The entry's parts, at least ``size`` long, and the factor that
         brings an addend over ``den`` to the entry's denominator."""
         if type(held) is UniPoly:
-            held = self._sums[key] = [
-                [r for r, _ in held._num], [i for _, i in held._num], held._den
-            ]
+            held = self._sums[key] = [list(held._re), list(held._im), held._den]
         re, im, total = held
         if len(re) < size:
             grow = [0] * (size - len(re))
@@ -574,8 +573,7 @@ class TermSums:
     def terms(self) -> Dict:
         """Each key's sum as a canonical, nonzero ``UniPoly``."""
         return {
-            key: held if type(held) is UniPoly
-            else UniPoly._canonical(list(zip(held[0], held[1])), held[2])
+            key: held if type(held) is UniPoly else UniPoly._canonical(*held)
             for key, held in self._sums.items()
         }
 
@@ -600,8 +598,8 @@ def height(p: GammaPoly) -> int:
 # The grammar is the CLI's expression grammar, so any printed polynomial
 # parses back to an equal value.  Terms appear highest monomial first;
 # a leading '-' is hoisted out of each rendered term.  Coefficients are
-# rendered straight from the stored int pairs (``scalars.pair_text``), with
-# no scalar object built per coefficient.
+# rendered straight from the stored int parts (``scalars.pair_factor_text``),
+# with no scalar object built per coefficient.
 
 
 def _hoists_minus(re: int, im: int) -> bool:
@@ -632,11 +630,10 @@ def _power_term(
 
 def _unipoly_terms(p: UniPoly) -> Iterable[Tuple[bool, str]]:
     """The nonzero terms of ``p``, highest power first."""
-    den = p._den
-    for power in range(len(p._num) - 1, -1, -1):
-        re, im = p._num[power]
-        if re or im:
-            yield _power_term(re, im, den, power)
+    re, im, den = p._re, p._im, p._den
+    for power in range(len(re) - 1, -1, -1):
+        if re[power] or im[power]:
+            yield _power_term(re[power], im[power], den, power)
 
 
 def _joined(terms: Iterable[Tuple[bool, str]]) -> str:
@@ -658,15 +655,15 @@ def _term_text(mono: Monomial, coeff: UniPoly) -> Tuple[bool, str]:
         for k, e in enumerate(mono)
         if e
     ]
-    num = coeff._num
-    re, im = num[-1]
-    if any(r or i for r, i in num[:-1]):
+    degree = len(coeff._re) - 1
+    re, im = coeff._re[degree], coeff._im[degree]
+    if any(coeff._re[:degree]) or any(coeff._im[:degree]):
         # A sum of powers of s: parenthesized, with the sign of its leading
         # coefficient hoisted.
         negative = _hoists_minus(re, im)
         body = _joined((sign != negative, text) for sign, text in _unipoly_terms(coeff))
         return negative, "*".join([f"({body})"] + gamma_factors)
-    return _power_term(re, im, coeff._den, len(num) - 1, gamma_factors)
+    return _power_term(re, im, coeff._den, degree, gamma_factors)
 
 
 def gamma_poly_text(p: GammaPoly) -> str:

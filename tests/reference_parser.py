@@ -1,6 +1,7 @@
 """The expression parser as it stood before sums and products became n-ary
-nodes, kept verbatim as a reference for ``test_parser.py``: a character-by-
-character tokenizer, recursive descent into left-deep chains of binary
+nodes, kept verbatim as a reference for ``test_parser.py`` but for the
+lines that build and read ``UniPoly`` storage: a character-by-character
+tokenizer, recursive descent into left-deep chains of binary
 ``Add``, ``Sub``, ``Mul`` and ``Div`` nodes, and a lowering that walks those
 chains and builds one polynomial per term before summing them.
 
@@ -331,7 +332,7 @@ def _lower_product(node: ExprAst, arity: int) -> GammaPoly:
         # Multiplying by 1 would only copy the first polynomial factor.
         product = polys.pop(0)
     else:
-        coeff = UniPoly._canonical([(0, 0)] * power + [(re, im)], den)
+        coeff = UniPoly._canonical([0] * power + [re], [0] * power + [im], den)
         product = GammaPoly._build(arity, {tuple(exponents): coeff})
     for poly in polys:
         product = product * poly
@@ -383,11 +384,11 @@ def _single_term(p: GammaPoly) -> Union[_Term, GammaPoly]:
     if len(p._terms) != 1:
         return p
     [(mono, coeff)] = p._terms.items()
-    *lower, (re, im) = coeff._num
-    if any(r or i for r, i in lower):
+    power = len(coeff._re) - 1
+    if any(coeff._re[:power]) or any(coeff._im[:power]):
         return p
     gammas = tuple((index, e) for index, e in enumerate(mono) if e)
-    return re, im, coeff._den, len(lower), gammas
+    return coeff._re[power], coeff._im[power], coeff._den, power, gammas
 
 
 def _inverse(term: Union[_Term, GammaPoly]) -> Optional[_Term]:

@@ -140,6 +140,19 @@ def test_non_ascii_integer_flags_exit_two(capsys, command, flag, value):
     assert f"argument {flag}: invalid int value: {value!r}" in err
 
 
+def test_tol_is_reported_as_given(capsys):
+    code, out, _ = run(capsys, "member", "0,1", "G(1)-s*G(0)", "--verify", "--json", "--tol", "1e-6")
+    assert code == 0
+    assert json.loads(out)["verification"]["tol"] == 1e-06
+    assert '"tol": 1e-06' in out
+
+
+def test_tol_that_is_no_float_exits_two(capsys):
+    code, out, err = run(capsys, "member", "0,1", "G(1)-s*G(0)", "--verify", "--tol", "abc")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --tol: invalid float value: 'abc'\n")
+
+
 def test_selftest_rejects_zero_samples(capsys):
     code, out, _ = run(capsys, "selftest", "--samples", "0")
     assert code == 2
@@ -162,6 +175,20 @@ def test_verification_block(capsys):
     assert code == 0
     assert "consistent: yes" in out
     assert "samples: 10" in out
+
+
+def test_disagreement_warns_but_keeps_the_verdict_code(capsys):
+    # No residual passes a tolerance of 1e-300, so the oracle disagrees.
+    code, out, err = run(capsys, "member", "0,1,2", IDENTITY, "--verify", "--tol", "1e-300")
+    assert code == 0
+    assert "  consistent: NO\n" in out
+    assert err == "warning: numeric verification disagrees with the verdict\n"
+
+
+def test_certificate_without_generators(capsys):
+    code, out, _ = run(capsys, "member", "0,1/2", "G(0)*G(1)-1", "--certify")
+    assert code == 1
+    assert "certificate:\n  (no generators: the shift system admits no relation)\n" in out
 
 
 def test_member_json_payload(capsys):
@@ -327,6 +354,12 @@ def test_gamma_eval_far_up_the_imaginary_axis_is_a_numeric_failure(capsys, point
     assert err == f"error: gamma({text}) is out of floating-point range\n"
 
 
+def test_gamma_eval_blank_point_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "gamma", "--eval", " ")
+    assert (code, out) == (2, "")
+    assert err == "error: empty complex literal (at position 0)\n"
+
+
 # -- selftest
 
 
@@ -352,6 +385,15 @@ def test_selftest_detects_a_broken_oracle(capsys, monkeypatch):
     assert code == 1
     assert "FAILED" in out
     assert "selftest failure" in err
+
+
+def test_selftest_without_clear_points_is_a_numeric_failure(capsys, monkeypatch):
+    # Every point drawn is the pole at -1.
+    monkeypatch.setattr(numeric, "SAMPLE_RE_RANGE", (-1.0, -1.0))
+    monkeypatch.setattr(numeric, "SAMPLE_IM_RANGE", (0.0, 0.0))
+    code, out, err = run(capsys, "selftest")
+    assert (code, out) == (1, "")
+    assert err == "error: drew only 0 of 100 selftest points\n"
 
 
 # -- configuration plumbing

@@ -196,7 +196,7 @@ def test_pow_matches_repeated_product(p):
 
 
 def storage(p: GammaPoly):
-    return [(mono, coeff._num, coeff._den) for mono, coeff in p.terms.items()]
+    return [(mono, coeff._re, coeff._im, coeff._den) for mono, coeff in p.terms.items()]
 
 
 def added_one_by_one(terms) -> list:
@@ -209,7 +209,7 @@ def added_one_by_one(terms) -> list:
             merged[mono] = total
         else:
             merged.pop(mono, None)
-    return [(mono, coeff._num, coeff._den) for mono, coeff in merged.items()]
+    return [(mono, coeff._re, coeff._im, coeff._den) for mono, coeff in merged.items()]
 
 
 # The numeric oracle sums an input's terms in stored order, so the parser's
@@ -267,9 +267,9 @@ def test_term_sums_over_mixed_denominators_are_canonical():
     sums.add_product("k", d, UniPoly([-1, half]))
     (total,) = sums.terms().values()
     expected = a + b + c * d + d * UniPoly([-1, half])
-    assert (total._num, total._den) == (expected._num, expected._den)
+    assert (total._re, total._im, total._den) == (expected._re, expected._im, expected._den)
     reference = UniPoly(expected.coeffs)
-    assert (total._num, total._den) == (reference._num, reference._den)
+    assert (total._re, total._im, total._den) == (reference._re, reference._im, reference._den)
 
 
 def test_term_sums_keep_a_single_addend_by_reference():
@@ -332,11 +332,11 @@ def test_add_product_does_not_depend_on_the_operand_order(a, b, state, single):
         elif held:
             sums.add("k", held)
         sums.add_product("k", x, y)
-        return {key: (coeff._num, coeff._den) for key, coeff in sums.terms().items()}
+        return {key: (coeff._re, coeff._im, coeff._den) for key, coeff in sums.terms().items()}
 
     expected = held + a * b
     assert storage_after(a, b) == storage_after(b, a) == (
-        {"k": (expected._num, expected._den)} if expected else {}
+        {"k": (expected._re, expected._im, expected._den)} if expected else {}
     )
 
 

@@ -62,8 +62,9 @@ def test_singleton_classes_leave_everything_alone():
 
 
 def test_normal_form_rejects_arity_mismatch():
-    with pytest.raises(ValueError):
-        normal_form(GammaPoly.variable(2, 0), chain_system())
+    for route in (normal_form, certify, decide_membership):
+        with pytest.raises(ValueError, match="^arity mismatch: polynomial 2, shifts 3$"):
+            route(GammaPoly.variable(2, 0), chain_system())
 
 
 @given(system_with_polys())
@@ -310,7 +311,7 @@ def mixed_input(rng: random.Random) -> GammaPoly:
 def assert_canonical(p: GammaPoly) -> None:
     for coeff in p.terms.values():
         reference = UniPoly(coeff.coeffs)
-        assert (coeff._num, coeff._den) == (reference._num, reference._den)
+        assert (coeff._re, coeff._im, coeff._den) == (reference._re, reference._im, reference._den)
 
 
 @given(seeds)

@@ -242,7 +242,8 @@ def test_draw_samples_respects_clearance_and_domain():
 def test_draw_samples_gives_up_eventually(monkeypatch):
     sys = system("0")
     monkeypatch.setattr(numeric, "EPSILON_POLE", 100.0)
-    with pytest.raises(SamplingError):
+    message = r"^drew only 0 of 5 pole-clear points in 1000 attempts \(EPSILON_POLE=100\.0\)$"
+    with pytest.raises(SamplingError, match=message):
         draw_samples(sys, 5, seed=0)
 
 

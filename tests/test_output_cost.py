@@ -1,9 +1,9 @@
-"""The numeric oracle and the text renderer read ``UniPoly``'s int pairs
+"""The numeric oracle and the text renderer read ``UniPoly``'s int parts
 directly.
 
 ``verify_verdict`` converts each term's coefficients to complex doubles once
 per call, not once per sample, and never goes through ``UniPoly.__call__``.
-``gamma_poly_text`` renders from the int pairs and builds no
+``gamma_poly_text`` renders from the int parts and builds no
 ``GaussianRational`` along the way.
 """
 

@@ -321,9 +321,9 @@ def test_canonical_corpus_round_trips(text):
 
 
 def storage(p: GammaPoly):
-    """Terms in stored order, each coefficient as its int pairs and
-    denominator."""
-    return [(mono, coeff._num, coeff._den) for mono, coeff in p.terms.items()]
+    """Terms in stored order, each coefficient as its real and imaginary
+    int parts and denominator."""
+    return [(mono, coeff._re, coeff._im, coeff._den) for mono, coeff in p.terms.items()]
 
 
 def outcome(parse, lower, text: str, arity: int):
@@ -445,7 +445,7 @@ def test_flat_sums_of_products_match_the_reference(texts, op):
 @given(gamma_polys(ARITY, max_terms=6))
 def test_printed_polynomials_lower_like_the_reference(p):
     text = gamma_poly_text(p)
-    printed = [(mono, coeff._num, coeff._den) for mono, coeff in p.sorted_terms()]
+    printed = [(mono, coeff._re, coeff._im, coeff._den) for mono, coeff in p.sorted_terms()]
     assert outcome(parse_poly, lower_to_poly, text, ARITY) == printed
     assert_same_outcome(text)
 
