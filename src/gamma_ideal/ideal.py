@@ -10,7 +10,7 @@ whose pairwise differences are non-integral, and no nonzero polynomial in
 those Gamma values vanishes identically.
 
 One pass, ``_substitute``, moves the terms under G(j) -> multiplier * G(r),
-summing what lands on one monomial before multiplying it, and can collect
+multiplying each moved term once, straight into the result, and can collect
 the cofactor of the move as well.  Two routes run it, one variable at a
 time: ``normal_form`` steps each class down one gap at a time, G(j) ->
 step_j * G(prev), and ``certify`` moves each G(j) straight to its
@@ -25,7 +25,7 @@ re-expansion runs through the independent ``Certificate.recombined``, and
 those two alone make the certificate a proof.  The guards raise
 ``AssertionError`` explicitly, so ``python -O`` keeps them.
 
-The passes and the re-expansion add into ``poly.TermSums``: per key, int
+The passes and the re-expansion add into ``poly.TermSums``: per monomial, int
 lists over one denominator, with each coefficient made canonical once.
 """
 
@@ -141,18 +141,24 @@ def _substitute(
 ) -> Dict:
     """The terms with G(j) -> m * G(r), m the multiplier, in one pass.
 
-    The terms holding G(j)^e are grouped by (image, e), each group's sum is
-    multiplied once by m^e, and terms free of G(j) pass through
-    by reference.  Given a ``cofactor``, the telescoping shares of the move
-    are added into it as well:
+    Terms free of G(j) pass through by reference, and a term c*M holding
+    G(j)^e is multiplied once by m^e, straight into the result.  Given a
+    ``cofactor``, the telescoping shares of the move are added into it too:
 
         G(j)^e - (m G(r))^e = (G(j) - m G(r)) * sum_{k<e} G(j)^(e-1-k) (m G(r))^k,
 
-    so a term c*M holding G(j)^e gains the cofactor c*m^k * M G(r)^k /
-    G(j)^(k+1) for k = 0..e-1, grouped by (monomial, k) and multiplied once
-    by m^k.  Moves and shares share one power table per pass.
+    so the term gains c*m^k * M G(r)^k / G(j)^(k+1) for k = 0..e-1, each
+    share multiplied once by m^k.  Moves and shares take their powers of m
+    from one table per pass, filled on first use.
     """
-    left, moved, shares = TermSums(), TermSums(), TermSums()
+    left, powers = TermSums(), {1: multiplier}
+
+    def power(e: int) -> UniPoly:
+        factor = powers.get(e)
+        if factor is None:
+            factor = powers[e] = multiplier ** e
+        return factor
+
     for mono, coeff in terms.items():
         exponent = mono[j]
         if not exponent:
@@ -164,17 +170,10 @@ def _substitute(
             for k in range(exponent):
                 image[j] = exponent - 1 - k
                 image[r] = base + k
-                shares.add((tuple(image), k), coeff)
+                cofactor.add_product(tuple(image), coeff, power(k))
         image[j] = 0
         image[r] = base + exponent
-        moved.add((tuple(image), exponent), coeff)
-    powers = {1: multiplier}
-    for sums, target in ((shares, cofactor), (moved, left)):
-        for (mono, exponent), total in sums.terms().items():
-            factor = powers.get(exponent)
-            if factor is None:
-                factor = powers[exponent] = multiplier ** exponent
-            target.add_product(mono, total, factor)
+        left.add_product(tuple(image), coeff, power(exponent))
     return left.terms()
 
 
@@ -215,8 +214,8 @@ def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
     highest reducible monomial: each division step depends only on the
     monomial it reduces, so division is linear in the input, and on a single
     term it makes exactly the steps of the pass, in the same order.  Moving
-    a term to G(r) never brings in a later generator's variable, and
-    grouping only sums what linearity would add anyway.
+    a term to G(r) never brings in a later generator's variable, and the
+    pass adds up the single-term results just as linearity does.
     """
     if p.arity != sys.arity:
         raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")

@@ -496,8 +496,8 @@ def signed_sum(arity: int, parts: Iterable[Tuple[int, GammaPoly]]) -> GammaPoly:
 
 
 class TermSums:
-    """An exact running sum of nonzero ``UniPoly`` coefficients per key (a
-    monomial, or any hashable group key), made canonical once, at the end.
+    """An exact running sum of nonzero ``UniPoly`` coefficients per
+    monomial, made canonical once, at the end.
 
     A key holds the one coefficient added to it so far, by reference, and
     from the second addend on a ``[re, im, den]`` entry: the real and

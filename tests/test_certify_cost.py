@@ -1,20 +1,23 @@
-"""``certify`` eliminates one generator at a time and multiplies each group
-of shares once.
+"""``certify`` eliminates one generator at a time and multiplies each share
+and each moved term once.
 
-Each pass takes the terms that hold the generator's variable, sums the
-cofactor shares that land on one (monomial, k) and the moved terms that land
-on one (image, e), and multiplies each sum once by the multiplier's power.
-It never adds, subtracts or multiplies whole ``GammaPoly`` values (a
-division loop that rebuilds the remainder at every step would, and its work
-would grow as steps times terms), and it raises each rewrite multiplier to
-each power at most once per call.
+Each pass takes the terms that hold the generator's variable and multiplies
+each term's cofactor shares and its moved image by the multiplier's power,
+straight into the cofactor and the remainder.  Within one pass no two terms
+land on one (monomial, k) or (image, e), since either key gives the term's
+monomial back; the products still number fewer than the shares, because
+moved images merge with other terms between passes.  It never adds,
+subtracts or multiplies whole ``GammaPoly`` values (a division loop that
+rebuilds the remainder at every step would, and its work would grow as
+steps times terms), and it raises each rewrite multiplier to each power at
+most once per call.
 """
 
 import pytest
 
 from gamma_ideal import poly
 from gamma_ideal.ideal import certify
-from gamma_ideal.poly import GammaPoly, UniPoly
+from gamma_ideal.poly import GammaPoly, TermSums, UniPoly
 from strategies import chain_member
 from test_output_cost import counter
 
@@ -48,15 +51,27 @@ def test_certify_raises_each_multiplier_to_each_power_once(monkeypatch, n):
     assert len(powers) == len(set(powers))
 
 
+def test_certify_builds_one_remainder_and_one_cofactor_per_generator(monkeypatch):
+    sys, member = chain_member(8)
+    generators = sys.generators()
+    built = counter(monkeypatch, TermSums, "__init__")
+    certify(member, sys)
+    monkeypatch.undo()
+    assert len(built) == 2 * len(generators) == 14
+
+
 def elimination_counts(p: GammaPoly, sys) -> tuple:
     """(shares, share groups, move groups) of eliminating the generators one
     at a time, from the monomials alone.
 
     A share is one contribution c*m_j^k of an input term to cofactor j: each
     term makes e_j of them for each non-representative G(j)^e_j it holds.
-    A group is a (monomial, k) or (image, e) key of one pass.  Sums that
-    cancel are not dropped here, so the group counts bound those of
-    ``certify`` from above."""
+    A group is a (monomial, k) or (image, e) key of one pass, over the
+    distinct monomials left by the pass before.  Within one pass each key
+    comes from one monomial, so a group is one term's share or move; the
+    groups number fewer than the shares because moved images merge with
+    other terms between passes.  Sums that cancel are not dropped here, so
+    the group counts bound those of ``certify`` from above."""
     shares = sum(mono[rel.target] for mono in p.terms for rel in sys.generators())
     monomials = set(p.terms)
     share_groups = move_groups = 0

@@ -4,14 +4,15 @@ It applies G(j) -> step_j * G(prev) for each non-representative j, from the
 highest offset of each class down, where prev is the member just below j and
 step_j the rising factorial over their gap.  So it raises only the steps,
 each to each power at most once per pass, never a generator's full
-multiplier; it sums the terms that land on one (image, e) before multiplying;
+multiplier; it multiplies each moved term once, straight into one
+accumulator per step, since no two terms of a pass land on one (image, e);
 and it never adds, subtracts or multiplies whole ``GammaPoly`` values.  On
 consecutive shifts every step is linear.
 """
 
 from gamma_ideal import poly
 from gamma_ideal.ideal import normal_form
-from gamma_ideal.poly import GammaPoly, UniPoly
+from gamma_ideal.poly import GammaPoly, TermSums, UniPoly
 import reference_normal_form
 from strategies import chain_member
 from test_certify_cost import WHOLE_POLY_OPERATIONS
@@ -43,6 +44,15 @@ def test_normal_form_does_no_whole_polynomial_arithmetic(monkeypatch):
     )
     monkeypatch.undo()
     assert reduced.is_zero()
+
+
+def test_normal_form_builds_one_accumulator_per_step(monkeypatch):
+    sys, member = chain_member(8)
+    steps = sys.steps()
+    built = counter(monkeypatch, TermSums, "__init__")
+    normal_form(member, sys)
+    monkeypatch.undo()
+    assert len(built) == len(steps) == 7
 
 
 def multiply_adds(monkeypatch, route, p, sys) -> int:
