@@ -17,8 +17,9 @@ seed of the runs that sample, ``member --verify`` and ``selftest``; the
 other runs do not read it.
 
 Each subparser names its command in ``run``, and the command reads its
-options from the argparse namespace.  A command computes its result once and
-then renders it either as JSON or as text.
+options from the argparse namespace.  A command computes its result once,
+into the payload that ``--json`` prints, and hands it to ``_emit``; the text
+form is rendered from that payload alone.
 
 A process imports only what its command runs: the decision procedure
 (``ideal``) for ``member``, ``reduce`` and ``selftest``, the numeric oracle
@@ -32,7 +33,7 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence
 
 from .parser import ParseError, parse_complex, parse_gamma_poly, parse_shifts
 from .poly import gamma_poly_text, input_and_normal_text
@@ -48,10 +49,16 @@ DEFAULT_TOL = 1e-8
 SEED_ENV_VAR = "GAMMA_IDEAL_SEED"
 
 
-def _emit_json(payload: dict) -> None:
-    import json
+def _emit(args: argparse.Namespace, payload: dict, text: Callable[[dict], Iterable[str]]) -> None:
+    """Print ``payload`` as JSON under ``--json``, else the lines that
+    ``text`` renders from the payload alone."""
+    if args.json:
+        import json
 
-    print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for line in text(payload):
+            print(line)
 
 
 def _complex_text(z: complex) -> str:
@@ -65,36 +72,57 @@ def _parse_system(text: str) -> ShiftSystem:
     return build_shift_system(parse_shifts(text))
 
 
+def _classes_text(payload: dict) -> Iterator[str]:
+    shifts = payload["shifts"]
+    yield f"shifts: {', '.join(shifts)}"
+    yield "classes:"
+    for cls in payload["classes"]:
+        members = ", ".join(f"G({k}) at {shifts[k]}" for k in cls["indices"])
+        yield f"  representative G({cls['representative']}): {members}"
+    yield f"in_h: {'yes' if payload['in_h'] else 'no'}"
+    if payload["generators"]:
+        yield "generators:"
+        yield from (f"  {generator}" for generator in payload["generators"])
+    else:
+        yield "generators: none (every class is a singleton)"
+
+
 def cmd_classes(args: argparse.Namespace) -> int:
     sys_ = _parse_system(args.shifts)
-    generators = sys_.generators()
-    if args.json:
-        _emit_json(
-            {
-                "command": "classes",
-                "shifts": [str(a) for a in sys_.shifts],
-                "classes": [
-                    {"indices": list(cls), "representative": rep}
-                    for cls, rep in zip(sys_.classes, sys_.representatives)
-                ],
-                "in_h": sys_.in_h,
-                "generators": [gamma_poly_text(r.as_poly) for r in generators],
-            }
-        )
-        return 0
-    print(f"shifts: {sys_.shifts_text()}")
-    print("classes:")
-    for cls, rep in zip(sys_.classes, sys_.representatives):
-        members = ", ".join(f"G({k}) at {sys_.shifts[k]}" for k in cls)
-        print(f"  representative G({rep}): {members}")
-    print(f"in_h: {'yes' if sys_.in_h else 'no'}")
-    if generators:
-        print("generators:")
-        for relation in generators:
-            print(f"  {relation.as_poly}")
-    else:
-        print("generators: none (every class is a singleton)")
+    payload = {
+        "command": "classes",
+        "shifts": [str(a) for a in sys_.shifts],
+        "classes": [
+            {"indices": list(cls), "representative": rep}
+            for cls, rep in zip(sys_.classes, sys_.representatives)
+        ],
+        "in_h": sys_.in_h,
+        "generators": [gamma_poly_text(r.as_poly) for r in sys_.generators()],
+    }
+    _emit(args, payload, _classes_text)
     return 0
+
+
+def _member_text(payload: dict) -> Iterator[str]:
+    yield f"verdict: {'member' if payload['member'] else 'non-member'}"
+    yield f"normal_form: {payload['normal_form']}"
+    yield f"basis: {payload['theorem_basis']}"
+    certificate = payload.get("certificate")
+    if certificate is not None:
+        yield "certificate:"
+        if not certificate["generators"]:
+            yield "  (no generators: the shift system admits no relation)"
+        for generator, cofactor in zip(certificate["generators"], certificate["cofactors"]):
+            yield f"  generator {generator}: cofactor {cofactor}"
+        yield f"  normal_form: {certificate['normal_form']}"
+        # decide_membership has raised unless the certificate re-expands.
+        yield "  re-expands exactly: yes"
+    report = payload.get("verification")
+    if report is not None:
+        yield "verification:"
+        yield f"  samples: {len(report['samples'])}  seed: {report['seed']}  tol: {report['tol']:g}"
+        yield f"  max relative residual: {report['max_relative_residual']:.3e}"
+        yield f"  consistent: {'yes' if report['consistent'] else 'NO'}"
 
 
 def cmd_member(args: argparse.Namespace) -> int:
@@ -103,55 +131,35 @@ def cmd_member(args: argparse.Namespace) -> int:
     sys_ = _parse_system(args.shifts)
     poly = parse_gamma_poly(args.polynomial, sys_.arity)
     verdict = decide_membership(poly, sys_)
-    report = None
+    # The certificate renders the input and the normal form; reuse its text.
+    if args.certify:
+        certificate = verdict.certificate.as_payload()
+        poly_text, normal_text = certificate["input"], certificate["normal_form"]
+    else:
+        poly_text, normal_text = input_and_normal_text(poly, verdict.normal_form)
+    payload = {
+        "command": "member",
+        "shifts": [str(a) for a in sys_.shifts],
+        "polynomial": poly_text,
+        "member": verdict.is_member,
+        "normal_form": normal_text,
+        "theorem_basis": verdict.theorem_basis,
+    }
+    if args.certify:
+        payload["certificate"] = certificate
     if args.verify:
         from .numeric import verify_verdict
 
         report = verify_verdict(verdict, sys_, n_samples=args.samples, seed=args.seed, tol=args.tol)
-
-    if args.json:
-        # The certificate renders the input and the normal form; reuse its text.
-        if args.certify:
-            certificate = verdict.certificate.as_payload()
-            poly_text, normal_text = certificate["input"], certificate["normal_form"]
-        else:
-            poly_text, normal_text = input_and_normal_text(poly, verdict.normal_form)
-        payload = {
-            "command": "member",
-            "shifts": [str(a) for a in sys_.shifts],
-            "polynomial": poly_text,
-            "member": verdict.is_member,
-            "normal_form": normal_text,
-            "theorem_basis": verdict.theorem_basis,
-        }
-        if args.certify:
-            payload["certificate"] = certificate
-        if report is not None:
-            payload["verification"] = report.as_payload()
-        _emit_json(payload)
-    else:
-        normal_text = gamma_poly_text(verdict.normal_form)
-        print(f"verdict: {'member' if verdict.is_member else 'non-member'}")
-        print(f"normal_form: {normal_text}")
-        print(f"basis: {verdict.theorem_basis}")
-        if args.certify:
-            cert = verdict.certificate
-            print("certificate:")
-            if not cert.generators:
-                print("  (no generators: the shift system admits no relation)")
-            for relation, cofactor in zip(cert.generators, cert.cofactors):
-                print(f"  generator {relation.as_poly}: cofactor {cofactor}")
-            print(f"  normal_form: {normal_text}")
-            # decide_membership has raised unless the certificate re-expands.
-            print("  re-expands exactly: yes")
-        if report is not None:
-            print("verification:")
-            print(f"  samples: {len(report.samples)}  seed: {report.seed}  tol: {report.tol:g}")
-            print(f"  max relative residual: {report.max_relative_residual:.3e}")
-            print(f"  consistent: {'yes' if report.verdict_consistent else 'NO'}")
-    if report is not None and not report.verdict_consistent:
+        payload["verification"] = report.as_payload()
+    _emit(args, payload, _member_text)
+    if args.verify and not payload["verification"]["consistent"]:
         print("warning: numeric verification disagrees with the verdict", file=sys.stderr)
     return 0 if verdict.is_member else 1
+
+
+def _reduce_text(payload: dict) -> Iterator[str]:
+    yield payload["normal_form"]
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -159,20 +167,20 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     sys_ = _parse_system(args.shifts)
     poly = parse_gamma_poly(args.polynomial, sys_.arity)
-    reduced = normal_form(poly, sys_)
-    if args.json:
-        poly_text, normal_text = input_and_normal_text(poly, reduced)
-        _emit_json(
-            {
-                "command": "reduce",
-                "shifts": [str(a) for a in sys_.shifts],
-                "polynomial": poly_text,
-                "normal_form": normal_text,
-            }
-        )
-    else:
-        print(gamma_poly_text(reduced))
+    poly_text, normal_text = input_and_normal_text(poly, normal_form(poly, sys_))
+    payload = {
+        "command": "reduce",
+        "shifts": [str(a) for a in sys_.shifts],
+        "polynomial": poly_text,
+        "normal_form": normal_text,
+    }
+    _emit(args, payload, _reduce_text)
     return 0
+
+
+def _gamma_text(payload: dict) -> Iterator[str]:
+    point, value = (complex(*payload[key]) for key in ("point", "value"))
+    yield f"gamma({_complex_text(point)}) = {_complex_text(value)}"
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
@@ -189,16 +197,8 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     if not finite:
         print(f"error: gamma({_complex_text(point)}) is out of floating-point range", file=sys.stderr)
         return 1
-    if args.json:
-        _emit_json(
-            {
-                "command": "gamma",
-                "point": [point.real, point.imag],
-                "value": [value.real, value.imag],
-            }
-        )
-    else:
-        print(f"gamma({_complex_text(point)}) = {_complex_text(value)}")
+    payload = {"command": "gamma", "point": [point.real, point.imag], "value": [value.real, value.imag]}
+    _emit(args, payload, _gamma_text)
     return 0
 
 
@@ -245,6 +245,14 @@ def _symbolic_selftest_checks() -> List[dict]:
     return checks
 
 
+def _selftest_text(payload: dict) -> Iterator[str]:
+    checks = payload["checks"]
+    for check in checks:
+        yield f"check {check['name']}: {'ok' if check['passed'] else 'FAIL'} ({check['detail']})"
+    failed = sum(not check["passed"] for check in checks)
+    yield f"FAILED {failed} of {len(checks)} checks" if failed else f"all {len(checks)} checks passed"
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
     from .numeric import selftest_functional_equations
 
@@ -262,18 +270,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             }
         )
     ok = all(check["passed"] for check in checks)
-
-    if args.json:
-        _emit_json({"command": "selftest", "checks": checks, "ok": ok})
-    else:
-        for check in checks:
-            status = "ok" if check["passed"] else "FAIL"
-            print(f"check {check['name']}: {status} ({check['detail']})")
-        if ok:
-            print(f"all {len(checks)} checks passed")
-        else:
-            failed = sum(1 for check in checks if not check["passed"])
-            print(f"FAILED {failed} of {len(checks)} checks")
+    _emit(args, {"command": "selftest", "checks": checks, "ok": ok}, _selftest_text)
     if not ok:
         for check in checks:
             if not check["passed"]:

@@ -149,9 +149,10 @@ def _substitute(
 
     so the term gains c*m^k * M G(r)^k / G(j)^(k+1) for k = 0..e-1, each
     share multiplied once by m^k.  Moves and shares take their powers of m
-    from one table per pass, filled on first use.
+    from one table per pass, which holds m^0 = 1 and m^1 = m from the start
+    and the higher powers from their first use.
     """
-    left, powers = TermSums(), {1: multiplier}
+    left, powers = TermSums(), {0: UniPoly.one(), 1: multiplier}
 
     def power(e: int) -> UniPoly:
         factor = powers.get(e)

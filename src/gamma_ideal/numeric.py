@@ -245,6 +245,17 @@ def evaluate_poly(
     return values[0], scales[0]
 
 
+def _worst(errors: Iterable[float]) -> float:
+    """The largest of ``errors``, 0.0 for none, and NaN as soon as one is
+    NaN, which ``max(worst, err)`` would pass over."""
+    worst = 0.0
+    for err in errors:
+        if math.isnan(err):
+            return err
+        worst = max(worst, err)
+    return worst
+
+
 class SampleResidual(Record):
     __slots__ = _fields = ("point", "residual", "scale")
 
@@ -255,7 +266,8 @@ class SampleResidual(Record):
 
     @property
     def relative(self) -> float:
-        return self.residual / self.scale if self.scale > 0 else 0.0
+        """residual / scale, 0.0 at a zero scale and NaN at a NaN one."""
+        return 0.0 if self.scale == 0 else self.residual / self.scale
 
 
 class VerificationReport(Record):
@@ -279,7 +291,7 @@ class VerificationReport(Record):
 
     @property
     def max_relative_residual(self) -> float:
-        return max((row.relative for row in self.samples), default=0.0)
+        return _worst(row.relative for row in self.samples)
 
     @property
     def verdict_consistent(self) -> bool:
@@ -384,39 +396,36 @@ def selftest_functional_equations(
     points = _clear_samples(rng, n_samples)
     checks: List[CheckResult] = []
 
-    worst = 0.0
-    for s, lhs, g in zip(points, gamma_values(map(add, points, repeat(1))), gamma_values(points)):
-        worst = max(worst, abs(lhs - s * g) / abs(lhs))
+    shifted = zip(points, gamma_values(map(add, points, repeat(1))), gamma_values(points))
+    worst = _worst(abs(lhs - s * g) / abs(lhs) for s, lhs, g in shifted)
     checks.append(CheckResult("recurrence", len(points), worst, 1e-10))
 
     mult_points = points[: max(1, min(50, len(points)))]
     for n in (2, 3):
-        worst = 0.0
+        errors = []
         lhs_values = gamma_values(map(mul, repeat(n), mult_points))
         factors = zip(*(gamma_values(map(add, mult_points, repeat(j / n))) for j in range(n)))
         for s, lhs, gammas in zip(mult_points, lhs_values, factors):
             rhs = n ** (n * s - 0.5) * (2 * math.pi) ** ((1 - n) / 2)
             for g in gammas:
                 rhs *= g
-            worst = max(worst, abs(lhs - rhs) / abs(lhs))
-        checks.append(CheckResult(f"multiplication_n{n}", len(mult_points), worst, 1e-8))
+            errors.append(abs(lhs - rhs) / abs(lhs))
+        checks.append(CheckResult(f"multiplication_n{n}", len(mult_points), _worst(errors), 1e-8))
 
-    worst = 0.0
     strip = [complex(rng.uniform(0.55, 0.95), rng.uniform(-2.0, 2.0)) for _ in points]
     mirrored = gamma_values(map(sub, repeat(1), strip))
-    for s, direct, g in zip(strip, gamma_values(strip), mirrored):
-        reflected = math.pi / (cmath.sin(math.pi * s) * g)
-        worst = max(worst, abs(direct - reflected) / abs(direct))
+    worst = _worst(
+        abs(direct - math.pi / (cmath.sin(math.pi * s) * g)) / abs(direct)
+        for s, direct, g in zip(strip, gamma_values(strip), mirrored)
+    )
     checks.append(CheckResult("reflection", len(strip), worst, 1e-10))
 
     half = gamma_eval(0.5)
     err = abs(half * half - math.pi) / math.pi
     checks.append(CheckResult("gamma_half_squared", 1, err, 1e-12))
 
-    worst = 0.0
-    for k, value in enumerate(gamma_values(range(1, 11)), start=1):
-        exact = float(math.factorial(k - 1))
-        worst = max(worst, abs(value - exact) / exact)
+    exact = [float(math.factorial(k - 1)) for k in range(1, 11)]
+    worst = _worst(abs(value - e) / e for value, e in zip(gamma_values(range(1, 11)), exact))
     checks.append(CheckResult("integer_factorials", 10, worst, 1e-12))
 
     return SelftestReport(tuple(checks))

@@ -51,6 +51,18 @@ def test_certify_raises_each_multiplier_to_each_power_once(monkeypatch, n):
     assert len(powers) == len(set(powers))
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_certify_raises_no_multiplier_to_the_zeroth_power(monkeypatch, n):
+    """The k = 0 share takes the factor 1 from the power table as it is."""
+    sys, member = chain_member(n)
+    calls = counter(monkeypatch, UniPoly, "__pow__")
+    cert = certify(member, sys)
+    monkeypatch.undo()
+    assert calls, "the chain member needs rewriting"
+    assert [exponent for _, exponent in calls if exponent == 0] == []
+    assert cert.is_exact()
+
+
 def test_certify_builds_one_remainder_and_one_cofactor_per_generator(monkeypatch):
     sys, member = chain_member(8)
     generators = sys.generators()

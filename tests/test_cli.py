@@ -185,6 +185,16 @@ def test_disagreement_warns_but_keeps_the_verdict_code(capsys):
     assert err == "warning: numeric verification disagrees with the verdict\n"
 
 
+def test_an_overflowed_residual_prints_nan_not_zero(capsys):
+    # At gap 100, 19 of the 20 samples' scales overflow to NaN.
+    chain = "*".join(["s"] + [f"(s+{k})" for k in range(1, 100)])
+    text = f"(3*s+4*G(0)-4*G(1))*(G(1)-{chain}*G(0))"
+    code, out, err = run(capsys, "member", "--verify", "--seed", "0", "--", "0,100", text)
+    assert code == 0
+    assert "  max relative residual: nan\n  consistent: NO\n" in out
+    assert err == "warning: numeric verification disagrees with the verdict\n"
+
+
 def test_certificate_without_generators(capsys):
     code, out, _ = run(capsys, "member", "0,1/2", "G(0)*G(1)-1", "--certify")
     assert code == 1

@@ -107,7 +107,7 @@ def digest(argv) -> str:
 
 
 def corpus():
-    """The pinned invocations; used only to regenerate ``cli_bytes.json``."""
+    """The pinned invocations, in the order of ``cli_bytes.json``."""
     from gamma_ideal.ideal import normal_form
     from gamma_ideal.poly import GammaPoly, gamma_poly_text
     from gamma_ideal.shifts import build_shift_system
@@ -209,6 +209,11 @@ def test_cli_bytes_match_the_pinned_corpus():
 def test_pinned_corpus_is_whole():
     entries = pinned()
     assert len(entries) == len({json.dumps(entry["argv"]) for entry in entries}) > 100
+
+
+def test_pinned_corpus_is_the_generated_one():
+    """A corpus that grows without regenerating ``cli_bytes.json`` fails."""
+    assert [entry["argv"] for entry in pinned()] == corpus()
 
 
 if __name__ == "__main__":

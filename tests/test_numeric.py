@@ -25,6 +25,7 @@ from gamma_ideal.numeric import (
     PoleError,
     SampleResidual,
     SamplingError,
+    VerificationReport,
     draw_samples,
     evaluate_poly,
     gamma_eval,
@@ -305,6 +306,20 @@ def test_non_member_verification_finds_a_witness():
     assert abs(value) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_a_nan_scale_reads_as_a_nan_residual_not_agreement():
+    """A row whose scale overflowed to NaN has a NaN relative residual, and
+    one NaN row makes the maximum NaN and a member inconsistent; ``max``
+    alone would keep the finite rows' maximum."""
+    assert SampleResidual(1j, 0.0, 0.0).relative == 0.0
+    assert math.isnan(SampleResidual(1j, 0.5, math.nan).relative)
+    rows = (SampleResidual(1j, 1e-20, 1.0), SampleResidual(2j, 0.0, math.nan))
+    for ordered in (rows, rows[::-1]):
+        report = VerificationReport(True, ordered, 0, 1e-8, 1e-8)
+        assert math.isnan(report.max_relative_residual)
+        assert not report.verdict_consistent
+        assert math.isnan(report.as_payload()["max_relative_residual"])
+
+
 def test_zero_polynomial_is_trivially_consistent():
     sys = system("0,1/2")
     verdict = decide_membership(GammaPoly.zero(2), sys)
@@ -363,8 +378,11 @@ def test_verdicts_and_reports_derive_what_they_do_not_store(drawn, member, seed,
     report = verify_verdict(verdict, sys, n_samples=4, seed=seed, separation=separation)
     assert report.member == verdict.is_member
     assert report.separation == (report.tol if separation is None else separation)
-    relatives = [row.residual / row.scale if row.scale > 0 else 0.0 for row in report.samples]
-    assert report.max_relative_residual == max(relatives, default=0.0)
+    relatives = [0.0 if row.scale == 0 else row.residual / row.scale for row in report.samples]
+    if any(map(math.isnan, relatives)):
+        assert math.isnan(report.max_relative_residual)
+    else:
+        assert report.max_relative_residual == max(relatives, default=0.0)
     if report.member:
         consistent = all(r < report.tol for r in relatives)
     else:
@@ -395,6 +413,15 @@ def test_selftest_catches_a_corrupted_coefficient(monkeypatch):
     monkeypatch.setattr(numeric, "LANCZOS_COEFFICIENTS", tuple(broken))
     report = selftest_functional_equations(n_samples=40, seed=5)
     assert not report.ok
+
+
+def test_selftest_fails_every_check_on_nan_gamma_values(monkeypatch):
+    """A NaN error fails its check: the worst error of a check is NaN as
+    soon as one of its errors is, however many finite errors it has."""
+    monkeypatch.setattr(numeric, "_lanczos_values", lambda points: [complex(math.nan, 0.0)] * len(points))
+    report = selftest_functional_equations(n_samples=10, seed=0)
+    assert [check.name for check in report.checks if check.passed] == []
+    assert all(math.isnan(check.max_relative_error) for check in report.checks)
 
 
 def test_a_check_fails_at_its_threshold():
