@@ -22,6 +22,7 @@ _MODULE_OF = {
     "decide_membership": "ideal",
     "normal_form": "ideal",
     "ComplexSample": "numeric",
+    "FloatRangeError": "numeric",
     "PoleError": "numeric",
     "SamplingError": "numeric",
     "VerificationReport": "numeric",

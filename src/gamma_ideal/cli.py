@@ -379,7 +379,7 @@ def _numeric_errors() -> tuple:
     numeric = sys.modules.get(f"{__package__}.numeric")
     if numeric is None:
         return ()
-    return numeric.PoleError, numeric.SamplingError
+    return numeric.PoleError, numeric.SamplingError, numeric.FloatRangeError
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

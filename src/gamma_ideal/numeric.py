@@ -69,6 +69,10 @@ class SamplingError(RuntimeError):
     """Could not draw enough pole-clear sample points."""
 
 
+class FloatRangeError(OverflowError):
+    """A coefficient of the polynomial is past the floating-point range."""
+
+
 def nearest_pole(z: complex) -> Tuple[int, float]:
     """The non-positive integer closest to z and its distance.
 
@@ -176,10 +180,13 @@ FloatTable = List[Tuple[Tuple[complex, ...], Tuple[Tuple[int, int], ...]]]
 
 
 def _float_table(p: GammaPoly) -> FloatTable:
-    return [
-        (coeff.complex_coeffs(), tuple(compress(enumerate(mono), mono)))
-        for mono, coeff in p.terms.items()
-    ]
+    try:
+        return [
+            (coeff.complex_coeffs(), tuple(compress(enumerate(mono), mono)))
+            for mono, coeff in p.terms.items()
+        ]
+    except OverflowError:
+        raise FloatRangeError("a coefficient of the polynomial is out of floating-point range") from None
 
 
 def _evaluate_terms(

@@ -24,7 +24,10 @@ Two layers:
   polynomial equality.  The constructor's merge of repeated monomials,
   sums, products and the rewrite passes of ``ideal`` accumulate in
   ``TermSums``: the same real and imaginary parts per monomial as int
-  lists, each made canonical once, when the result is built.
+  lists, each made canonical once, when the result is built.  A product
+  of two polynomials whose coefficients are all constants, such as a power
+  of a sum of Gamma values, multiplies each pair of coefficients as
+  Gaussian-rational scalars; any other product convolves them.
 
 Monomials are plain exponent tuples.  They are ordered lexicographically,
 scanning from index 0: the first differing exponent decides, larger wins.
@@ -459,11 +462,19 @@ class GammaPoly:
             )
         self._check_arity(other)
         products = TermSums()
-        add_product = products.add_product
         right = other._terms.items()
-        for m1, c1 in self._terms.items():
-            for m2, c2 in right:
-                add_product(tuple(map(add, m1, m2)), c1, c2)
+        if _all_constant(self._terms.values()) and _all_constant(other._terms.values()):
+            add_scalar = products.add_scalar
+            right = [(m2, c2._re[0], c2._im[0], c2._den) for m2, c2 in right]
+            for m1, c1 in self._terms.items():
+                r1, i1, d1 = c1._re[0], c1._im[0], c1._den
+                for m2, r2, i2, d2 in right:
+                    add_scalar(tuple(map(add, m1, m2)), r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, d1 * d2)
+        else:
+            add_product = products.add_product
+            for m1, c1 in self._terms.items():
+                for m2, c2 in right:
+                    add_product(tuple(map(add, m1, m2)), c1, c2)
         return GammaPoly._build(self.arity, products.terms())
 
     __rmul__ = __mul__
@@ -476,6 +487,11 @@ class GammaPoly:
 
     def __repr__(self) -> str:
         return f"GammaPoly({self.arity}, {gamma_poly_text(self)!r})"
+
+
+def _all_constant(coeffs: Iterable[UniPoly]) -> bool:
+    """Whether every coefficient is a constant: one stored part."""
+    return all(len(c._re) == 1 for c in coeffs)
 
 
 def signed_sum(arity: int, parts: Iterable[Tuple[int, GammaPoly]]) -> GammaPoly:
@@ -504,10 +520,14 @@ class TermSums:
     imaginary parts of the sum as int lists over one denominator, the
     layout of ``UniPoly`` with lists in place of tuples.  An addend over a
     denominator that does not divide the entry's rescales the entry to their
-    least common multiple; a product is convolved straight into the lists.  A key whose
-    sum cancels leaves the map and one that comes back is appended, so the
-    key order is that of adding one ``UniPoly`` at a time.  ``terms`` passes
-    each entry to ``UniPoly._canonical`` and the rest through untouched.
+    least common multiple; a product is convolved straight into the lists
+    (``add_product``), and a product of two constants, which
+    ``GammaPoly.__mul__`` computes as a scalar when every coefficient of
+    both operands is constant, adds to their first places (``add_scalar``).
+    A key whose sum cancels leaves the map and one that comes back is
+    appended, so the key order is that of adding one ``UniPoly`` at a time.
+    ``terms`` passes each entry to ``UniPoly._canonical`` and the rest
+    through untouched.
     """
 
     __slots__ = ("_sums",)
@@ -551,6 +571,24 @@ class TermSums:
             a_im = [i * scale for i in a_im]
         _convolve_into(re, im, (a_re, a_im), (b._re, b._im))
         if not any(re) and not any(im):
+            del self._sums[key]
+
+    def add_scalar(self, key, re: int, im: int, den: int) -> None:
+        """Add the nonzero constant ``(re + im*i) / den`` at ``key``, with
+        ``den`` positive.  An open entry over the same denominator takes the
+        parts as they are; any other entry goes through ``_open``."""
+        held = self._sums.get(key)
+        if held is None:
+            self._sums[key] = [[re], [im], den]
+            return
+        if type(held) is list and held[2] == den:
+            parts_re, parts_im, _ = held
+        else:
+            parts_re, parts_im, scale = self._open(key, held, 1, den)
+            re, im = re * scale, im * scale
+        parts_re[0] += re
+        parts_im[0] += im
+        if not any(parts_re) and not any(parts_im):
             del self._sums[key]
 
     def _open(self, key, held, size: int, den: int) -> Tuple[List[int], List[int], int]:

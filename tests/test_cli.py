@@ -195,6 +195,15 @@ def test_an_overflowed_residual_prints_nan_not_zero(capsys):
     assert err == "warning: numeric verification disagrees with the verdict\n"
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_a_coefficient_past_the_float_range_is_a_numeric_failure(capsys, flags):
+    # 7e320 has no double, so the oracle cannot build its float table.
+    text = "7" + "0" * 320 + "*G(1)-s*G(0)"
+    code, out, err = run(capsys, "member", "0,1", text, "--verify", *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: a coefficient of the polynomial is out of floating-point range\n"
+
+
 def test_certificate_without_generators(capsys):
     code, out, _ = run(capsys, "member", "0,1/2", "G(0)*G(1)-1", "--certify")
     assert code == 1

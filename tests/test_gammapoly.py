@@ -24,8 +24,9 @@ from gamma_ideal.poly import (
     signed_sum,
     unipoly_text,
 )
-from gamma_ideal.scalars import ONE, GaussianRational, scalar_text
+from gamma_ideal.scalars import ONE, GaussianRational, power_by_squaring, scalar_text
 from strategies import gamma_polys, monomials, nonzero_gamma_polys, nonzero_unipolys, unipolys
+from test_output_cost import counter
 
 
 def monomial_mul(m1, m2):
@@ -338,6 +339,80 @@ def test_add_product_does_not_depend_on_the_operand_order(a, b, state, single):
     assert storage_after(a, b) == storage_after(b, a) == (
         {"k": (expected._re, expected._im, expected._den)} if expected else {}
     )
+
+
+# Products of polynomials whose coefficients are all constants multiply the
+# coefficients as scalars (``TermSums.add_scalar``); any other product
+# convolves them (``TermSums.add_product``).  Both must give the same value
+# and term order.
+
+
+def pair_by_pair(p: GammaPoly, q: GammaPoly) -> GammaPoly:
+    """p * q with every pair of terms added through ``add_product``."""
+    sums = TermSums()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            sums.add_product(monomial_mul(m1, m2), c1, c2)
+    return GammaPoly._build(p.arity, sums.terms())
+
+
+class PairByPair:
+    """A polynomial whose products are ``pair_by_pair``, so that
+    ``power_by_squaring`` raises it in the order ``GammaPoly.__pow__`` does."""
+
+    def __init__(self, poly: GammaPoly):
+        self.poly = poly
+
+    def __mul__(self, other: "PairByPair") -> "PairByPair":
+        return PairByPair(pair_by_pair(self.poly, other.poly))
+
+
+# Constants over mixed denominators, with imaginary parts, on few monomials,
+# so that products repeat a monomial and its sum can cancel and come back.
+constant_scalars = st.one_of(
+    st.sampled_from([ONE, -ONE, GaussianRational(0, 1), GaussianRational(Fraction(1, 2))]),
+    st.builds(GaussianRational, mixed_parts, mixed_parts),
+).filter(lambda z: not z.is_zero())
+constant_gamma_polys = st.lists(
+    st.tuples(monomials(2, max_exponent=1), constant_scalars), max_size=5
+).map(lambda pairs: GammaPoly(2, pairs))
+# One coefficient 1/2 + s or more at G(1) sends a product down the generic path.
+with_an_s_coefficient = constant_gamma_polys.map(
+    lambda p: p + GammaPoly(2, {(0, 1): UniPoly([Fraction(1, 2), 1])})
+)
+
+# G(0)/2 + i*G(1) + 1 times 2/3*G(1) + i/3*G(0) - 3/4*G(0)*G(1): the first
+# two products onto G(0)*G(1), 1/3 and -1/3 over the denominators 6 and 3,
+# cancel, and the last brings the monomial back after five others.
+CANCELLING = (
+    GammaPoly(2, {(1, 0): Fraction(1, 2), (0, 1): GaussianRational(0, 1), (0, 0): 1}),
+    GammaPoly(
+        2,
+        {(0, 1): Fraction(2, 3), (1, 0): GaussianRational(0, Fraction(1, 3)), (1, 1): Fraction(-3, 4)},
+    ),
+)
+
+
+@given(constant_gamma_polys, st.one_of(constant_gamma_polys, with_an_s_coefficient), st.integers(1, 5))
+@example(*CANCELLING, 3)
+def test_constant_products_equal_the_pairwise_convolutions(p, q, exponent):
+    assert storage(p * q) == storage(pair_by_pair(p, q))
+    assert storage(q * p) == storage(pair_by_pair(q, p))
+    for base in (p, q):
+        assert storage(base**exponent) == storage(power_by_squaring(PairByPair(base), exponent, None).poly)
+
+
+def test_the_coefficients_pick_the_product_path(monkeypatch):
+    p, q = CANCELLING
+    with_s = q + GammaPoly(2, {(0, 1): UniPoly.x()})
+    scalar = counter(monkeypatch, TermSums, "add_scalar")
+    generic = counter(monkeypatch, TermSums, "add_product")
+    product = p * q
+    assert (len(scalar), len(generic)) == (9, 0)
+    assert list(product.terms)[-1] == (1, 1)
+    assert product.coefficient((1, 1)) == UniPoly([Fraction(-3, 4)])
+    p * with_s
+    assert (len(scalar), len(generic)) == (9, 9)
 
 
 # -- text

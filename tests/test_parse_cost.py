@@ -12,6 +12,7 @@ a polynomial.
 
 import pytest
 
+from gamma_ideal import poly
 from gamma_ideal._record import Record
 from gamma_ideal.parser import lower_to_poly, parse_poly
 from gamma_ideal.poly import GammaPoly, UniPoly
@@ -95,3 +96,26 @@ def test_negated_parenthesised_terms_are_not_multiplied_by_minus_one(monkeypatch
     calls = counter(monkeypatch, GammaPoly, "__mul__")
     lower_to_poly(ast, ARITY)
     assert len(calls) == 2  # the two squarings
+
+
+def test_constant_coefficient_powers_multiply_scalars_not_polynomials(monkeypatch):
+    # Lowering (G(0)+...+G(7))^4 squares twice.  Every coefficient of A and
+    # of A^2 is a constant, so the products multiply scalars.  Convolving
+    # each pair of coefficients, as for any other product, would run 784
+    # times: once per pair of A^2's 28 coefficients 2 (a factor 1 is left
+    # out).
+    arity = 8
+    text = "(" + "+".join(f"G({k})" for k in range(arity)) + ")^4"
+    ast = parse_poly(text, arity)
+    convolved = []
+    convolve_into = poly._convolve_into
+
+    def counting(*args):
+        convolved.append(args)
+        return convolve_into(*args)
+
+    monkeypatch.setattr(poly, "_convolve_into", counting)
+    p = lower_to_poly(ast, arity)
+    assert len(convolved) == 0
+    monkeypatch.undo()
+    assert len(p.terms) == 330 and sum(c._re[0] for c in p.terms.values()) == arity**4
