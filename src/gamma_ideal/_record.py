@@ -3,9 +3,9 @@
 A record class names its constructor's fields in ``_fields``, lists them
 (and any slot it derives from them) in ``__slots__``, and sets each one in
 an explicit ``__init__`` with ``setfield``.  Pickling and copying pass only
-the fields to ``__init__``, so a derived slot that is filled on first use
-is filled again in the copy.  ``_compared`` names the fields
-that equality and hashing read; by default all of ``_fields``.
+the fields to ``__init__``, so a copy derives its other slots again.
+``_compared`` names the fields that equality and hashing read; by default
+all of ``_fields``.
 """
 
 #: Sets a field of a record under construction, past ``Record.__setattr__``.

@@ -189,8 +189,7 @@ def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
     ``_substitute`` pass per step.  With consecutive shifts every step is
     linear.
     """
-    if p.arity != sys.arity:
-        raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
+    sys.check_arity(p)
     steps = sys.steps()
     if not steps:
         return p
@@ -218,8 +217,7 @@ def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
     a term to G(r) never brings in a later generator's variable, and the
     pass adds up the single-term results just as linearity does.
     """
-    if p.arity != sys.arity:
-        raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
+    sys.check_arity(p)
     generators = sys.generators()
     if not generators:
         return Certificate(input=p, generators=generators, cofactors=(), normal_form=p)

@@ -225,9 +225,7 @@ def _evaluate(
 ) -> Tuple[List[complex], List[float]]:
     """Values and cancellation scales of p at every point: one Gamma pass
     per shift over all points, one float table and one kernel pass.  The
-    caller has checked every shifted point for poles."""
-    if p.arity != sys.arity:
-        raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {sys.arity}")
+    caller has checked p's arity and every shifted point for poles."""
     gammas = [_lanczos_values(list(map(add, points, repeat(a)))) for a in map(complex, sys.shifts)]
     return _evaluate_terms(_float_table(p), gammas, points)
 
@@ -246,6 +244,7 @@ def evaluate_poly(
     same bits.  The point is checked for poles first, shift by shift, as
     ``draw_samples`` checks each sample of ``verify_verdict``.
     """
+    sys.check_arity(p)
     s = complex(s)
     _check_poles([s + a for a in map(complex, sys.shifts)])
     values, scales = _evaluate(p, sys, [s])
@@ -343,6 +342,7 @@ def verify_verdict(
     if separation is None:
         separation = tol
     p = verdict.certificate.input
+    sys.check_arity(p)
     points = [sample.point for sample in draw_samples(sys, n_samples, seed)]
     # draw_samples has checked every (sample, shift) for poles.
     values, scales = _evaluate(p, sys, points)

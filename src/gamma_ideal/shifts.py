@@ -15,10 +15,11 @@ only singleton classes admits no nontrivial relation at all.
 A canonical shift (re + im*i)/den plus an integer k is (re + k*den + im*i)/den,
 still canonical, so a_i - a_j is an integer exactly when the two shifts have
 the same class key (re % den, im, den), and that integer is then the
-difference of their values of re // den.  ``build_shift_system`` groups by that key in one pass.
-Walking a class in offset order, each multiplier is the previous one times
-the rising factorial over the gap between them (the step), so ``generators``
-makes one running product per class and keeps the steps for ``steps``.
+difference of their values of re // den.  ``ShiftSystem`` groups by that key
+in one pass when it is built, then walks each class once in offset order:
+each multiplier is the previous one times the rising factorial over the gap
+between them (the step), so one running product per class gives both the
+generators and the steps.
 """
 
 from __future__ import annotations
@@ -69,31 +70,58 @@ class Relation(Record):
 
 
 class ShiftSystem(Record):
-    """An ordered shift tuple with its integer-difference class structure.
+    """An ordered tuple of pairwise-distinct shifts with everything its
+    integer-difference classes give, all derived once, on construction.
 
-    ``classes`` lists index classes sorted by offset from the class
-    representative (which therefore comes first); ``representatives``, each
-    class's first member, is aligned with ``classes``.  Build instances with
-    ``build_shift_system``.  The representatives and each index's offset are
-    derived once, on construction; the generators and the steps are computed
-    on first use into the slots ``_generators`` and ``_steps``.  Pickling and copying rebuild a system
-    from its fields, so a copy computes them again on its own first use.
+    ``classes`` lists index classes in order of first appearance, each sorted
+    by offset from the class representative (which therefore comes first);
+    ``representatives``, each class's first member, is aligned with
+    ``classes``.  The shifts are the only field: pickling and copying rebuild
+    the classes, the generators and the steps from them, so no system can
+    hold relations its shifts do not give.
     """
 
-    _fields = ("shifts", "classes")
-    __slots__ = _fields + ("representatives", "_offset", "_generators", "_steps")
+    _fields = ("shifts",)
+    __slots__ = _fields + ("classes", "representatives", "_offset", "_generators", "_steps")
 
-    def __init__(self, shifts: Tuple[GaussianRational, ...], classes: Tuple[Tuple[int, ...], ...]):
-        setfield(self, "shifts", shifts)
+    def __init__(self, shifts: Sequence[ScalarLike]):
+        values = tuple(to_scalar(a) for a in shifts)
+        first_seen, repeats, groups = {}, [], {}
+        for idx, a in enumerate(values):
+            seen = first_seen.setdefault(a, idx)
+            if seen != idx:
+                repeats.append((seen, idx))
+            groups.setdefault((a.re % a.den, a.im, a.den), []).append(idx)
+        if repeats:
+            i, j = min(repeats)
+            raise ValueError(
+                f"duplicate shift {values[i]} at positions {i} and {j}; "
+                "a repeated Gamma argument is degenerate"
+            )
+        classes = tuple(
+            tuple(sorted(group, key=lambda k: values[k].re)) for group in groups.values()
+        )
+        # Each class is walked once in offset order with a running product:
+        # the multiplier of a member is its predecessor's multiplier times
+        # the step ``rising_factorial(predecessor's shift, gap)``, so a class
+        # of n consecutive shifts costs O(n) polynomial products, not O(n^2).
+        offset, by_target, steps = [0] * len(values), {}, []
+        for rep, *members in classes:
+            multiplier, prev = UniPoly.one(), rep
+            for j in members:
+                # Members of a class share im, den and re mod den.
+                offset[j] = (values[j].re - values[rep].re) // values[rep].den
+                step = rising_factorial(values[prev], offset[j] - offset[prev])
+                multiplier = multiplier * step
+                by_target[j] = _relation(len(values), rep, j, multiplier)
+                steps.append((j, prev, step))
+                prev = j
+        setfield(self, "shifts", values)
         setfield(self, "classes", classes)
         setfield(self, "representatives", tuple(cls[0] for cls in classes))
-        offset = [0] * len(shifts)
-        for cls in classes:
-            base = shifts[cls[0]]
-            for member in cls:
-                # Members of a class share im, den and re mod den.
-                offset[member] = (shifts[member].re - base.re) // base.den
         setfield(self, "_offset", tuple(offset))
+        setfield(self, "_generators", tuple(by_target[j] for j in sorted(by_target)))
+        setfield(self, "_steps", tuple(reversed(steps)))
 
     @property
     def arity(self) -> int:
@@ -103,6 +131,11 @@ class ShiftSystem(Record):
     def in_h(self) -> bool:
         """True when every class is a singleton: no relation exists."""
         return all(len(cls) == 1 for cls in self.classes)
+
+    def check_arity(self, p: GammaPoly) -> None:
+        """Reject a polynomial whose Gamma variables are not one per shift."""
+        if p.arity != self.arity:
+            raise ValueError(f"arity mismatch: polynomial {p.arity}, shifts {self.arity}")
 
     def _checked(self, index: int) -> int:
         if not 0 <= index < self.arity:
@@ -117,38 +150,14 @@ class ShiftSystem(Record):
         return tuple(i for i, d in enumerate(self._offset) if d)
 
     def generators(self) -> Tuple[Relation, ...]:
-        """One generating relation per non-representative index, ascending.
-
-        Each class is walked once in offset order with a running product:
-        the multiplier of a member is its predecessor's multiplier times
-        ``rising_factorial(predecessor's shift, gap)``, so a class of n
-        consecutive shifts costs O(n) polynomial products, not O(n^2).
-        """
-        try:
-            return self._generators
-        except AttributeError:
-            pass
-        by_target, steps = {}, []
-        for rep, *members in self.classes:
-            multiplier, prev = UniPoly.one(), rep
-            for j in members:
-                gap = self._offset[j] - self._offset[prev]
-                step = rising_factorial(self.shifts[prev], gap)
-                multiplier = multiplier * step
-                by_target[j] = _relation(self.arity, rep, j, multiplier)
-                steps.append((j, prev, step))
-                prev = j
-        generators = tuple(by_target[j] for j in sorted(by_target))
-        setfield(self, "_steps", tuple(reversed(steps)))
-        setfield(self, "_generators", generators)
-        return generators
+        """One generating relation per non-representative index, ascending."""
+        return self._generators
 
     def steps(self) -> Tuple[Tuple[int, int, UniPoly], ...]:
         """(j, prev, step) per non-representative j, each class from its
         highest offset down: prev is the member just below j and step the
         rising factorial from prev's shift over their gap.  The steps from j
         down to its representative multiply to j's multiplier."""
-        self.generators()
         return self._steps
 
     def shifts_text(self) -> str:
@@ -159,33 +168,12 @@ class ShiftSystem(Record):
 
 
 def build_shift_system(shifts: Sequence[ScalarLike]) -> ShiftSystem:
-    """Partition a tuple of pairwise-distinct shifts into integer-difference
-    classes and pick each class's minimal-offset member as representative.
+    """The system of a tuple of pairwise-distinct shifts: ``ShiftSystem(shifts)``.
 
-    One pass groups the indices by the class key ``(re % den, im, den)`` of
-    each canonical shift: adding an integer k to ``(re + im*i)/den`` gives
-    the canonical ``(re + k*den + im*i)/den``, so two shifts differ by an
-    integer exactly when their keys agree.  Classes come in order of first
-    appearance, each sorted by ``re`` (that is, by offset).  A repeated
-    shift is an error naming the lexicographically first pair of positions.
+    A repeated shift is an error naming the lexicographically first pair of
+    positions.
     """
-    values = tuple(to_scalar(a) for a in shifts)
-    first_seen: dict = {}
-    repeats = []
-    groups: dict = {}
-    for idx, a in enumerate(values):
-        seen = first_seen.setdefault(a, idx)
-        if seen != idx:
-            repeats.append((seen, idx))
-        groups.setdefault((a.re % a.den, a.im, a.den), []).append(idx)
-    if repeats:
-        i, j = min(repeats)
-        raise ValueError(
-            f"duplicate shift {values[i]} at positions {i} and {j}; "
-            "a repeated Gamma argument is degenerate"
-        )
-    classes = tuple(tuple(sorted(group, key=lambda k: values[k].re)) for group in groups.values())
-    return ShiftSystem(values, classes)
+    return ShiftSystem(shifts)
 
 
 def _relation(arity: int, source: int, target: int, multiplier: UniPoly) -> Relation:
@@ -213,8 +201,7 @@ def shift_apply(q: GammaPoly, sys: ShiftSystem) -> GammaPoly:
     keeps every monomial (hence the highest term's monomial and the height)
     unchanged.
     """
-    if q.arity != sys.arity:
-        raise ValueError(f"arity mismatch: polynomial {q.arity}, shifts {sys.arity}")
+    sys.check_arity(q)
     linear = [UniPoly.linear(a) for a in sys.shifts]
     out = {}
     for mono, coeff in q.terms.items():

@@ -61,6 +61,17 @@ def test_singleton_classes_leave_everything_alone():
     assert normal_form(p, sys) == p
 
 
+def test_a_system_is_built_from_its_shifts_alone():
+    """Classes handed in beside the shifts could relate Gamma values that no
+    recurrence links: at 0 and 1/2 they would certify Gamma(s+1/2) = s*Gamma(s)."""
+    shifts = parse_shifts("0,1/2")
+    with pytest.raises(TypeError):
+        ShiftSystem(shifts, ((0, 1),))
+    p = parse_gamma_poly("G(1)-s*G(0)", 2)
+    verdict = decide_membership(p, ShiftSystem(shifts))
+    assert not verdict.is_member and verdict.certificate.normal_form == p
+
+
 def test_normal_form_rejects_arity_mismatch():
     for route in (normal_form, certify, decide_membership):
         with pytest.raises(ValueError, match="^arity mismatch: polynomial 2, shifts 3$"):
