@@ -70,7 +70,8 @@ class SamplingError(RuntimeError):
 
 
 class FloatRangeError(OverflowError):
-    """A coefficient of the polynomial is past the floating-point range."""
+    """A coefficient of the polynomial, or the sine of the reflection formula
+    at a point far from the real axis, is past the floating-point range."""
 
 
 def nearest_pole(z: complex) -> Tuple[int, float]:
@@ -115,7 +116,10 @@ def _lanczos_values(points: List[complex]) -> List[complex]:
     """``gamma_values`` without the pole check, for points already known
     to be clear of the poles."""
     reflect = [z.real < 0.5 for z in points]
-    sines = list(map(cmath.sin, map(mul, repeat(math.pi), compress(points, reflect))))
+    try:
+        sines = list(map(cmath.sin, map(mul, repeat(math.pi), compress(points, reflect))))
+    except OverflowError as exc:  # an imaginary part past about 226
+        raise FloatRangeError(*exc.args) from None
     if sines:
         points = [1 - z if left else z for z, left in zip(points, reflect)]
     zs = list(map(sub, points, repeat(1)))
@@ -226,7 +230,10 @@ def _evaluate(
     """Values and cancellation scales of p at every point: one Gamma pass
     per shift over all points, one float table and one kernel pass.  The
     caller has checked p's arity and every shifted point for poles."""
-    gammas = [_lanczos_values(list(map(add, points, repeat(a)))) for a in map(complex, sys.shifts)]
+    try:
+        gammas = [_lanczos_values(list(map(add, points, repeat(a)))) for a in map(complex, sys.shifts)]
+    except FloatRangeError:
+        raise FloatRangeError("a Gamma value at a sample point is out of floating-point range") from None
     return _evaluate_terms(_float_table(p), gammas, points)
 
 

@@ -23,24 +23,23 @@ Two layers:
   Zero coefficients are never stored, so structural equality of the maps is
   polynomial equality.  The constructor's merge of repeated monomials,
   sums, products and the rewrite passes of ``ideal`` accumulate in
-  ``TermSums``: the same real and imaginary parts per monomial as int
-  lists, each made canonical once, when the result is built.  A product
-  of two polynomials whose coefficients are all constants, such as a power
-  of a sum of Gamma values, multiplies each pair of coefficients as
-  Gaussian-rational scalars; any other product convolves them.
+  ``TermSums``, which makes each sum canonical once, when the result is built.
 
 Monomials are plain exponent tuples.  They are ordered lexicographically,
 scanning from index 0: the first differing exponent decides, larger wins.
 ``highest_term`` and ``height`` refer to this order.
+
+``gamma_poly_text`` prints the canonical text form in one pass over the
+terms, rendering each distinct coefficient magnitude and Gamma power once.
 
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
-from itertools import count, zip_longest
+from itertools import compress, count, zip_longest
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -424,7 +423,7 @@ class GammaPoly:
 
     def sorted_terms(self) -> list[Tuple[Monomial, UniPoly]]:
         """Terms ordered by monomial, highest first."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self._terms.items(), key=itemgetter(0), reverse=True)
 
     # -- ring operations
 
@@ -633,79 +632,80 @@ def height(p: GammaPoly) -> int:
 # ---------------------------------------------------------------------------
 # canonical text form
 #
-# The grammar is the CLI's expression grammar, so any printed polynomial
-# parses back to an equal value.  Terms appear highest monomial first;
-# a leading '-' is hoisted out of each rendered term.  Coefficients are
-# rendered straight from the stored int parts (``scalars.pair_factor_text``),
-# with no scalar object built per coefficient.
+# Text is in the CLI's grammar, so a printed polynomial parses back to an
+# equal value.  Terms come highest monomial first, each with a '-' hoisted out
+# of its coefficient: a nonzero real part gives the sign, else the imaginary
+# part.  A magnitude 1 is left out of a product unless nothing else would be
+# printed.  A coefficient with several powers of s prints as a parenthesised
+# sum, signed by its leading coefficient.  One loop per polynomial writes the
+# text, rendering each distinct coefficient magnitude and G(k)^e once per call.
 
 
-def _hoists_minus(re: int, im: int) -> bool:
-    """Sign used when hoisting '-' out of a printed term: a nonzero real part
-    decides, a purely imaginary value takes the sign of its imaginary part."""
-    return re < 0 if re else im < 0
+class _Magnitudes(dict):
+    """Coefficient texts by (re, im, den), each rendered on first lookup."""
+
+    def __missing__(self, key):
+        text = self[key] = pair_factor_text(*key)
+        return text
 
 
-def _power_term(
-    re: int, im: int, den: int, power: int, tail: Sequence[str] = ()
-) -> Tuple[bool, str]:
-    """Render ``(re + im*i)/den * s^power * tail`` as (hoisted-negative,
-    factor text).  A unit magnitude is left out unless nothing else would
-    be printed."""
-    negative = _hoists_minus(re, im)
-    if negative:
-        re, im = -re, -im
-    factors = []
-    if re != den or im or (power == 0 and not tail):
-        factors.append(pair_factor_text(re, im, den))
-    if power == 1:
-        factors.append("s")
-    elif power > 1:
-        factors.append(f"s^{power}")
-    factors.extend(tail)
-    return negative, "*".join(factors)
+class _GammaFactors(dict):
+    """``G(k)^e`` texts by (k, e), each rendered on first lookup."""
+
+    def __missing__(self, key):
+        k, e = key
+        text = self[key] = f"G({k})" if e == 1 else f"G({k})^{e}"
+        return text
 
 
-def _unipoly_terms(p: UniPoly) -> Iterable[Tuple[bool, str]]:
-    """The nonzero terms of ``p``, highest power first."""
+def _write_sum(out: List[str], p: UniPoly, flip: bool, magnitudes: _Magnitudes) -> List[str]:
+    """``out`` with the nonzero terms of ``p`` appended, highest power first,
+    their signs inverted when ``flip`` and no '+' on the first."""
     re, im, den = p._re, p._im, p._den
+    start = len(out)
     for power in range(len(re) - 1, -1, -1):
-        if re[power] or im[power]:
-            yield _power_term(re[power], im[power], den, power)
-
-
-def _joined(terms: Iterable[Tuple[bool, str]]) -> str:
-    """The sum of rendered terms; "0" for none."""
-    pieces: list[str] = []
-    for negative, text in terms:
-        pieces.append(f"-{text}" if negative else f"+{text}" if pieces else text)
-    return "".join(pieces) or "0"
+        r, i = re[power], im[power]
+        if not (r or i):
+            continue
+        negative = r < 0 if r else i < 0
+        if negative:
+            r, i = -r, -i
+        text = "" if r == den and not i and power else magnitudes[r, i, den]
+        if power:
+            s_power = "s" if power == 1 else f"s^{power}"
+            text = f"{text}*{s_power}" if text else s_power
+        out.append(("-" if negative != flip else "+" if len(out) > start else "") + text)
+    return out
 
 
 def unipoly_text(p: UniPoly) -> str:
-    return _joined(_unipoly_terms(p))
-
-
-def _term_text(mono: Monomial, coeff: UniPoly) -> Tuple[bool, str]:
-    """Render one multivariate term as (hoisted-negative, factor text)."""
-    gamma_factors = [
-        f"G({k})" if e == 1 else f"G({k})^{e}"
-        for k, e in enumerate(mono)
-        if e
-    ]
-    degree = len(coeff._re) - 1
-    re, im = coeff._re[degree], coeff._im[degree]
-    if any(coeff._re[:degree]) or any(coeff._im[:degree]):
-        # A sum of powers of s: parenthesized, with the sign of its leading
-        # coefficient hoisted.
-        negative = _hoists_minus(re, im)
-        body = _joined((sign != negative, text) for sign, text in _unipoly_terms(coeff))
-        return negative, "*".join([f"({body})"] + gamma_factors)
-    return _power_term(re, im, coeff._den, degree, gamma_factors)
+    return "".join(_write_sum([], p, False, _Magnitudes())) or "0"
 
 
 def gamma_poly_text(p: GammaPoly) -> str:
-    return _joined(_term_text(mono, coeff) for mono, coeff in p.sorted_terms())
+    out: List[str] = []
+    magnitudes, gamma_factors = _Magnitudes(), _GammaFactors()
+    for mono, coeff in p.sorted_terms():
+        re, im, den = coeff._re, coeff._im, coeff._den
+        top = len(re) - 1
+        r, i = re[top], im[top]
+        negative = r < 0 if r else i < 0
+        if negative or out:
+            out.append("-" if negative else "+")
+        tail = "*".join(map(gamma_factors.__getitem__, compress(enumerate(mono), mono)))
+        if top and (any(re[:top]) or any(im[:top])):
+            out.append("(")
+            _write_sum(out, coeff, negative, magnitudes)
+            out.append(f")*{tail}" if tail else ")")
+            continue
+        if negative:
+            r, i = -r, -i
+        text = "" if r == den and not i and (top or tail) else magnitudes[r, i, den]
+        if top:
+            s_power = "s" if top == 1 else f"s^{top}"
+            text = f"{text}*{s_power}" if text else s_power
+        out.append(f"{text}*{tail}" if text and tail else text or tail)
+    return "".join(out) or "0"
 
 
 def input_and_normal_text(p: GammaPoly, normal: GammaPoly) -> Tuple[str, str]:

@@ -204,6 +204,15 @@ def test_a_coefficient_past_the_float_range_is_a_numeric_failure(capsys, flags):
     assert err == "error: a coefficient of the polynomial is out of floating-point range\n"
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
+def test_a_far_imaginary_shift_is_a_numeric_failure(capsys, flags):
+    # Samples left of 1/2 take the reflection formula, whose sine overflows
+    # 1000 units up the imaginary axis.
+    code, out, err = run(capsys, "member", "0,1+1000i", "G(1)", "--verify", *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: a Gamma value at a sample point is out of floating-point range\n"
+
+
 def test_certificate_without_generators(capsys):
     code, out, _ = run(capsys, "member", "0,1/2", "G(0)*G(1)-1", "--certify")
     assert code == 1

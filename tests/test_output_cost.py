@@ -4,13 +4,15 @@ directly.
 ``verify_verdict`` converts each term's coefficients to complex doubles once
 per call, not once per sample, and never goes through ``UniPoly.__call__``.
 ``gamma_poly_text`` renders from the int parts and builds no
-``GaussianRational`` along the way.
+``GaussianRational`` along the way.  Within one call it renders each distinct
+coefficient magnitude and each distinct ``G(k)^e`` once.
 """
 
 import random
 
 import pytest
 
+from gamma_ideal import poly as poly_module
 from gamma_ideal.ideal import decide_membership
 from gamma_ideal.numeric import verify_verdict
 from gamma_ideal.poly import GammaPoly, UniPoly, gamma_poly_text
@@ -74,3 +76,33 @@ def test_text_builds_no_scalar(monkeypatch, name):
     constructed = counter(monkeypatch, GaussianRational, "__init__")
     assert (gamma_poly_text(poly), verdict.as_payload()) == expected
     assert wrapped == constructed == []
+
+
+def hoisted_parts(p: GammaPoly) -> set:
+    """The (re, im, den) of every nonzero coefficient part of ``p``, with the
+    sign the renderer hoists out of it removed."""
+    parts = set()
+    for c in p.terms.values():
+        for r, i in zip(c._re, c._im):
+            if r or i:
+                parts.add((-r, -i, c._den) if (r < 0 if r else i < 0) else (r, i, c._den))
+    return parts
+
+
+def test_text_renders_each_magnitude_and_gamma_power_once_per_call(monkeypatch):
+    sys, poly = chain_member(8)
+    certificate = decide_membership(poly, sys).certificate
+    polys = [certificate.input, *(r.as_poly for r in certificate.generators), *certificate.cofactors]
+    expected = [gamma_poly_text(p) for p in polys]
+    magnitudes = counter(monkeypatch, poly_module, "pair_factor_text")
+    gamma_factors = counter(monkeypatch, poly_module._GammaFactors, "__missing__")
+    for p, text in zip(polys, expected):
+        magnitudes.clear()
+        gamma_factors.clear()
+        assert gamma_poly_text(p) == text
+        parts = hoisted_parts(p)
+        assert len(magnitudes) == len(set(magnitudes)) and set(magnitudes) <= parts
+        assert all(r == den and not i for r, i, den in parts - set(magnitudes)), "only a unit is left out"
+        powers = [key for _, key in gamma_factors]
+        assert len(powers) == len(set(powers))
+        assert set(powers) == {(k, e) for mono in p.terms for k, e in enumerate(mono) if e}
