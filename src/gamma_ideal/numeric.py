@@ -70,8 +70,9 @@ class SamplingError(RuntimeError):
 
 
 class FloatRangeError(OverflowError):
-    """A coefficient of the polynomial, or the sine of the reflection formula
-    at a point far from the real axis, is past the floating-point range."""
+    """A coefficient of the polynomial, the sine of the reflection formula at
+    a point far from the real axis, or a Gamma value that underflows to 0 is
+    past the floating-point range."""
 
 
 def nearest_pole(z: complex) -> Tuple[int, float]:
@@ -136,6 +137,8 @@ def _lanczos_values(points: List[complex]) -> List[complex]:
     if sines:
         reflected = map(truediv, repeat(math.pi), map(mul, sines, compress(values, reflect)))
         values = [next(reflected) if left else g for g, left in zip(values, reflect)]
+    if 0j in values:  # Gamma has no zeros: the value underflowed
+        raise FloatRangeError("a Gamma value underflows to 0")
     return values
 
 

@@ -24,6 +24,8 @@ Two layers:
   polynomial equality.  The constructor's merge of repeated monomials,
   sums, products and the rewrite passes of ``ideal`` accumulate in
   ``TermSums``, which makes each sum canonical once, when the result is built.
+  Products key their pairs by ints: each operand monomial is packed once,
+  one exponent per fixed number of bytes, and each distinct key unpacked once.
 
 Monomials are plain exponent tuples.  They are ordered lexicographically,
 scanning from index 0: the first differing exponent decides, larger wins.
@@ -37,7 +39,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from itertools import compress, count, zip_longest
+from itertools import chain, compress, count, zip_longest
 from math import gcd, lcm
 from operator import add, itemgetter
 from types import MappingProxyType
@@ -244,6 +246,10 @@ class UniPoly:
         other = _to_unipoly(other)
         if not self._re or not other._re:
             return UniPoly.zero()
+        if other._re == (1,) and other._im == (0,) and other._den == 1:
+            return self
+        if self._re == (1,) and self._im == (0,) and self._den == 1:
+            return other
         size = len(self._re) + len(other._re) - 1
         re, im = [0] * size, [0] * size
         _convolve_into(re, im, (self._re, self._im), (other._re, other._im))
@@ -452,6 +458,11 @@ class GammaPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other: GammaPolyLike) -> GammaPoly:
+        """The product, in the term order of adding the pairs one at a time.
+        A one-term or empty operand multiplies term by term: no two of its
+        pairs meet.  Otherwise each monomial packs to an int with as many
+        bytes per exponent as the largest exponent sum needs, so a pair's
+        key is ``k1 + k2``, and each distinct key unpacks once at the end."""
         if not isinstance(other, GammaPoly):
             factor = _to_unipoly(other)
             if not factor:
@@ -460,21 +471,32 @@ class GammaPoly:
                 self.arity, {m: c * factor for m, c in self._terms.items()}
             )
         self._check_arity(other)
+        left, right = self._terms, other._terms
+        if len(left) <= 1 or len(right) <= 1:
+            return GammaPoly._build(
+                self.arity,
+                {tuple(map(add, m1, m2)): c1 * c2 for m1, c1 in left.items() for m2, c2 in right.items()},
+            )
+        top = max(chain.from_iterable(left)) + max(chain.from_iterable(right))
+        width = (top.bit_length() + 7) // 8
         products = TermSums()
-        right = other._terms.items()
-        if _all_constant(self._terms.values()) and _all_constant(other._terms.values()):
+        lefts = zip(_packed(left, width), left.values())
+        rights = zip(_packed(right, width), right.values())
+        if _all_constant(left.values()) and _all_constant(right.values()):
             add_scalar = products.add_scalar
-            right = [(m2, c2._re[0], c2._im[0], c2._den) for m2, c2 in right]
-            for m1, c1 in self._terms.items():
+            rights = [(k2, c2._re[0], c2._im[0], c2._den) for k2, c2 in rights]
+            for k1, c1 in lefts:
                 r1, i1, d1 = c1._re[0], c1._im[0], c1._den
-                for m2, r2, i2, d2 in right:
-                    add_scalar(tuple(map(add, m1, m2)), r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, d1 * d2)
+                for k2, r2, i2, d2 in rights:
+                    add_scalar(k1 + k2, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, d1 * d2)
         else:
             add_product = products.add_product
-            for m1, c1 in self._terms.items():
-                for m2, c2 in right:
-                    add_product(tuple(map(add, m1, m2)), c1, c2)
-        return GammaPoly._build(self.arity, products.terms())
+            rights = list(rights)
+            for k1, c1 in lefts:
+                for k2, c2 in rights:
+                    add_product(k1 + k2, c1, c2)
+        sums = products.terms()
+        return GammaPoly._build(self.arity, dict(zip(_unpacked(sums, self.arity, width), sums.values())))
 
     __rmul__ = __mul__
 
@@ -486,6 +508,26 @@ class GammaPoly:
 
     def __repr__(self) -> str:
         return f"GammaPoly({self.arity}, {gamma_poly_text(self)!r})"
+
+
+def _packed(monos: Iterable[Monomial], width: int) -> List[int]:
+    """Each exponent tuple as one int, ``width`` bytes per exponent."""
+    shift, keys = 8 * width, []
+    for mono in monos:
+        key = 0
+        for e in mono:
+            key = key << shift | e
+        keys.append(key)
+    return keys
+
+
+def _unpacked(keys: Iterable[int], arity: int, width: int) -> Iterable[Monomial]:
+    """The exponent tuples of ``_packed`` keys, in key order."""
+    raw = b"".join([k.to_bytes(arity * width, "big") for k in keys])
+    exponents = raw[::width]
+    for b in range(1, width):
+        exponents = [e << 8 | low for e, low in zip(exponents, raw[b::width])]
+    return zip(*[iter(exponents)] * arity)
 
 
 def _all_constant(coeffs: Iterable[UniPoly]) -> bool:

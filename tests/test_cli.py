@@ -204,11 +204,16 @@ def test_a_coefficient_past_the_float_range_is_a_numeric_failure(capsys, flags):
     assert err == "error: a coefficient of the polynomial is out of floating-point range\n"
 
 
-@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
-def test_a_far_imaginary_shift_is_a_numeric_failure(capsys, flags):
-    # Samples left of 1/2 take the reflection formula, whose sine overflows
-    # 1000 units up the imaginary axis.
-    code, out, err = run(capsys, "member", "0,1+1000i", "G(1)", "--verify", *flags)
+@pytest.mark.parametrize(
+    "shifts, flags",
+    [("0,1+1000i", ()), ("0,1+1000i", ("--json",)), ("0,3+1000i", ()), ("0,3+1000i", ("--json",))],
+    ids=["human", "json", "underflow-human", "underflow-json"],
+)
+def test_a_far_imaginary_shift_is_a_numeric_failure(capsys, shifts, flags):
+    # 1000 units up the imaginary axis, samples left of 1/2 take the
+    # reflection formula, whose sine overflows; right of it Gamma underflows
+    # to 0.0, which is no Gamma value, since Gamma has no zeros.
+    code, out, err = run(capsys, "member", shifts, "G(1)", "--verify", *flags)
     assert (code, out) == (1, "")
     assert err == "error: a Gamma value at a sample point is out of floating-point range\n"
 
@@ -371,12 +376,15 @@ def test_gamma_eval_out_of_range_is_a_numeric_failure(capsys, point, text, flags
 
 
 @pytest.mark.parametrize(
-    "point, text", [("1+1e308i", "1+1e+308i"), ("0.5-1e308i", "0.5-1e+308i")]
+    "point, text",
+    [("1+1e308i", "1+1e+308i"), ("0.5-1e308i", "0.5-1e+308i"), ("3+1000i", "3+1000i")],
 )
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
 def test_gamma_eval_far_up_the_imaginary_axis_is_a_numeric_failure(capsys, point, text, flags):
-    """The Lanczos power underflows to 0.0 there, which Python refuses to
-    raise to a complex power; that ends as the out-of-range line too."""
+    """Near 1e308i the Lanczos power underflows to 0.0, which Python refuses
+    to raise to a complex power.  Gamma(3+1000i) is about 5e-675, below the
+    smallest double, and 0.0 is no Gamma value.  Both end as the
+    out-of-range line too."""
     code, out, err = run(capsys, "gamma", "--eval", point, *flags)
     assert (code, out) == (1, "")
     assert err == f"error: gamma({text}) is out of floating-point range\n"

@@ -415,6 +415,63 @@ def test_the_coefficients_pick_the_product_path(monkeypatch):
     assert (len(scalar), len(generic)) == (9, 9)
 
 
+# Products of two polynomials of two terms or more key their pairs by packed
+# ints, with as many bytes per exponent as the largest exponent sum needs;
+# a product with a one-term or empty operand multiplies term by term.
+
+
+def lifted(p: GammaPoly, offset) -> GammaPoly:
+    """p times the monomial ``offset``."""
+    return GammaPoly(p.arity, {monomial_mul(m, offset): c for m, c in p.terms.items()})
+
+
+PACKED_CASES = {
+    "sum-255+1": (
+        GammaPoly(2, {(255, 0): 1, (0, 1): UniPoly.x(), (0, 0): -1}),
+        GammaPoly(2, {(1, 0): 2, (0, 255): Fraction(-1, 3), (0, 0): 1}),
+    ),
+    "sum-65535+1": (
+        GammaPoly(2, {(65535, 1): 1, (0, 0): UniPoly([1, 1])}),
+        GammaPoly(2, {(1, 65535): GaussianRational(0, 1), (1, 0): -1}),
+    ),
+    "arity-0": (GammaPoly(0, {(): 3}), GammaPoly(0, {(): UniPoly.x()})),
+    "arity-1": (G(0, 1) + 1, G(0, 1) - 1),
+    "arity-9": (
+        sum((G(k, 9) for k in range(9)), GammaPoly.zero(9)),
+        sum((G(k, 9) * (k - 4) for k in range(9)), GammaPoly.constant(9, 1)),
+    ),
+    "empty-left": (GammaPoly.zero(2), CANCELLING[1]),
+    "empty-right": (CANCELLING[0], GammaPoly.zero(2)),
+    "one-term-left": (GammaPoly(2, {(3, 1): UniPoly([1, 2])}), CANCELLING[1]),
+    "one-term-right": (CANCELLING[0], GammaPoly(2, {(0, 7): GaussianRational(0, Fraction(1, 2))})),
+    "cancelling-two-bytes": (lifted(CANCELLING[0], (300, 0)), lifted(CANCELLING[1], (0, 300))),
+}
+
+
+@pytest.mark.parametrize("case", PACKED_CASES)
+def test_packed_products_keep_the_value_and_term_order(case):
+    p, q = PACKED_CASES[case]
+    for left, right in ((p, q), (q, p)):
+        pairs = [
+            (monomial_mul(m1, m2), c1 * c2)
+            for m1, c1 in left.terms.items()
+            for m2, c2 in right.terms.items()
+        ]
+        assert storage(left * right) == added_one_by_one(pairs) == storage(pair_by_pair(left, right))
+
+
+def test_a_one_term_operand_builds_no_term_sums(monkeypatch):
+    p, q = CANCELLING
+    one_term, zero = GammaPoly(2, {(1, 2): UniPoly([1, 2])}), GammaPoly.zero(2)
+    built = counter(monkeypatch, TermSums, "__init__")
+    p * one_term
+    one_term * q
+    zero * p
+    assert built == []
+    p * q
+    assert len(built) == 1
+
+
 # -- text
 
 

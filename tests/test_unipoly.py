@@ -47,6 +47,14 @@ def test_multiplication_distributes(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+@given(nonzero_unipolys)
+def test_a_factor_one_passes_the_other_operand_through(p):
+    # A unit factor is left out, as TermSums.add_product leaves it out.
+    assert p * upoly(1) is p
+    q = p * UniPoly.x()  # no unit, so 1 * q can only pass q through
+    assert UniPoly.one() * q is q
+
+
 @given(nonzero_unipolys, nonzero_unipolys)
 def test_degree_of_product_adds(p, q):
     assert (p * q).degree == p.degree + q.degree
