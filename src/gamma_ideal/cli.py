@@ -133,20 +133,16 @@ def cmd_member(args: argparse.Namespace) -> int:
     verdict = decide_membership(poly, sys_)
     # The certificate renders the input and the normal form; reuse its text.
     if args.certify:
-        certificate = verdict.certificate.as_payload()
-        poly_text, normal_text = certificate["input"], certificate["normal_form"]
+        payload = verdict.as_payload()
+        poly_text = payload["certificate"]["input"]
     else:
         poly_text, normal_text = input_and_normal_text(poly, verdict.normal_form)
-    payload = {
-        "command": "member",
-        "shifts": [str(a) for a in sys_.shifts],
-        "polynomial": poly_text,
-        "member": verdict.is_member,
-        "normal_form": normal_text,
-        "theorem_basis": verdict.theorem_basis,
-    }
-    if args.certify:
-        payload["certificate"] = certificate
+        payload = {
+            "member": verdict.is_member,
+            "normal_form": normal_text,
+            "theorem_basis": verdict.theorem_basis,
+        }
+    payload.update(command="member", shifts=[str(a) for a in sys_.shifts], polynomial=poly_text)
     if args.verify:
         from .numeric import verify_verdict
 
@@ -190,9 +186,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     try:
         value = gamma_eval(point)
         finite = math.isfinite(value.real) and math.isfinite(value.imag)
-    except (OverflowError, ZeroDivisionError):
-        # ZeroDivisionError: the Lanczos power of a point far up the
-        # imaginary axis underflows to 0.0 raised to a complex power.
+    except OverflowError:
         finite = False
     if not finite:
         print(f"error: gamma({_complex_text(point)}) is out of floating-point range", file=sys.stderr)

@@ -70,9 +70,9 @@ class SamplingError(RuntimeError):
 
 
 class FloatRangeError(OverflowError):
-    """A coefficient of the polynomial, the sine of the reflection formula at
-    a point far from the real axis, or a Gamma value that underflows to 0 is
-    past the floating-point range."""
+    """A shift, a coefficient of the polynomial, the sine of the reflection
+    formula or the Lanczos power far from the real axis, or a Gamma value
+    that underflows to 0 is past the floating-point range."""
 
 
 def nearest_pole(z: complex) -> Tuple[int, float]:
@@ -133,7 +133,10 @@ def _lanczos_values(points: List[complex]) -> List[complex]:
     # are consumed one point at a time, so the first point to overflow raises.
     powers = map(pow, ts, map(add, zs, repeat(0.5)))
     scaled = map(mul, map(mul, repeat(math.sqrt(2 * math.pi)), powers), map(cmath.exp, map(neg, ts)))
-    values = list(map(mul, scaled, series))
+    try:
+        values = list(map(mul, scaled, series))
+    except ZeroDivisionError:  # an infinite phase of the power, a domain error
+        raise FloatRangeError("a Lanczos power is out of floating-point range") from None
     if sines:
         reflected = map(truediv, repeat(math.pi), map(mul, sines, compress(values, reflect)))
         values = [next(reflected) if left else g for g, left in zip(values, reflect)]
@@ -157,10 +160,18 @@ class ComplexSample(Record):
         setfield(self, "pole_clearance", pole_clearance)
 
 
+def _float_shifts(sys: ShiftSystem) -> List[complex]:
+    """The shifts as complex doubles."""
+    try:
+        return [complex(a) for a in sys.shifts]
+    except OverflowError:
+        raise FloatRangeError("a shift is out of floating-point range") from None
+
+
 def draw_samples(sys: ShiftSystem, n_samples: int, seed: int) -> List[ComplexSample]:
     """Uniform pole-clear samples from the standard rectangle, seeded."""
     rng = random.Random(seed)
-    shifts = [complex(a) for a in sys.shifts]
+    shifts = _float_shifts(sys)
     samples: List[ComplexSample] = []
     attempts = 0
     limit = 200 * max(n_samples, 1)
@@ -228,13 +239,13 @@ def _evaluate_terms(
 
 
 def _evaluate(
-    p: GammaPoly, sys: ShiftSystem, points: List[complex]
+    p: GammaPoly, shifts: List[complex], points: List[complex]
 ) -> Tuple[List[complex], List[float]]:
     """Values and cancellation scales of p at every point: one Gamma pass
-    per shift over all points, one float table and one kernel pass.  The
-    caller has checked p's arity and every shifted point for poles."""
+    per shift (a double) over all points, one float table and one kernel
+    pass.  The caller has checked p's arity and every shifted point for poles."""
     try:
-        gammas = [_lanczos_values(list(map(add, points, repeat(a)))) for a in map(complex, sys.shifts)]
+        gammas = [_lanczos_values(list(map(add, points, repeat(a)))) for a in shifts]
     except FloatRangeError:
         raise FloatRangeError("a Gamma value at a sample point is out of floating-point range") from None
     return _evaluate_terms(_float_table(p), gammas, points)
@@ -255,9 +266,9 @@ def evaluate_poly(
     ``draw_samples`` checks each sample of ``verify_verdict``.
     """
     sys.check_arity(p)
-    s = complex(s)
-    _check_poles([s + a for a in map(complex, sys.shifts)])
-    values, scales = _evaluate(p, sys, [s])
+    s, shifts = complex(s), _float_shifts(sys)
+    _check_poles([s + a for a in shifts])
+    values, scales = _evaluate(p, shifts, [s])
     return values[0], scales[0]
 
 
@@ -355,7 +366,7 @@ def verify_verdict(
     sys.check_arity(p)
     points = [sample.point for sample in draw_samples(sys, n_samples, seed)]
     # draw_samples has checked every (sample, shift) for poles.
-    values, scales = _evaluate(p, sys, points)
+    values, scales = _evaluate(p, _float_shifts(sys), points)
     rows = tuple(map(SampleResidual, points, map(abs, values), scales))
     return VerificationReport(verdict.is_member, rows, seed, tol, separation)
 

@@ -433,15 +433,13 @@ class GammaPoly:
 
     # -- ring operations
 
-    def _check_arity(self, other: GammaPoly) -> None:
+    def _coerce(self, other: GammaPolyLike) -> GammaPoly:
+        """``other`` as a polynomial of this arity, or an arity error."""
+        if not isinstance(other, GammaPoly):
+            return GammaPoly.constant(self.arity, other)
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def _coerce(self, other: GammaPolyLike) -> GammaPoly:
-        if isinstance(other, GammaPoly):
-            self._check_arity(other)
-            return other
-        return GammaPoly.constant(self.arity, other)
+        return other
 
     def __neg__(self) -> GammaPoly:
         return GammaPoly._build(self.arity, {m: -c for m, c in self._terms.items()})
@@ -459,19 +457,13 @@ class GammaPoly:
 
     def __mul__(self, other: GammaPolyLike) -> GammaPoly:
         """The product, in the term order of adding the pairs one at a time.
-        A one-term or empty operand multiplies term by term: no two of its
-        pairs meet.  Otherwise each monomial packs to an int with as many
-        bytes per exponent as the largest exponent sum needs, so a pair's
-        key is ``k1 + k2``, and each distinct key unpacks once at the end."""
-        if not isinstance(other, GammaPoly):
-            factor = _to_unipoly(other)
-            if not factor:
-                return GammaPoly.zero(self.arity)
-            return GammaPoly._build(
-                self.arity, {m: c * factor for m, c in self._terms.items()}
-            )
-        self._check_arity(other)
-        left, right = self._terms, other._terms
+        A scalar or ``UniPoly`` operand is coerced to a constant, as in ``+``
+        and ``-``.  A one-term or empty operand multiplies term by term: no
+        two of its pairs meet.  Otherwise each monomial packs to an int with
+        as many bytes per exponent as the largest exponent sum needs, so a
+        pair's key is ``k1 + k2``, and each distinct key unpacks once at the
+        end."""
+        left, right = self._terms, self._coerce(other)._terms
         if len(left) <= 1 or len(right) <= 1:
             return GammaPoly._build(
                 self.arity,

@@ -177,8 +177,9 @@ def build_shift_system(shifts: Sequence[ScalarLike]) -> ShiftSystem:
 
 
 def _relation(arity: int, source: int, target: int, multiplier: UniPoly) -> Relation:
-    """The relation G(target) - multiplier * G(source)."""
-    as_poly = GammaPoly.variable(arity, target) - GammaPoly.variable(arity, source) * multiplier
+    """The relation G(target) - multiplier * G(source), target term first."""
+    monos = ([int(k == index) for k in range(arity)] for index in (target, source))
+    as_poly = GammaPoly(arity, zip(monos, (UniPoly.one(), -multiplier)))
     return Relation(source=source, target=target, multiplier=multiplier, as_poly=as_poly)
 
 

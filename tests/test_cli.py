@@ -206,8 +206,16 @@ def test_a_coefficient_past_the_float_range_is_a_numeric_failure(capsys, flags):
 
 @pytest.mark.parametrize(
     "shifts, flags",
-    [("0,1+1000i", ()), ("0,1+1000i", ("--json",)), ("0,3+1000i", ()), ("0,3+1000i", ("--json",))],
-    ids=["human", "json", "underflow-human", "underflow-json"],
+    [
+        ("0,1+1000i", ()),
+        ("0,1+1000i", ("--json",)),
+        ("0,3+1000i", ()),
+        ("0,3+1000i", ("--json",)),
+        # Near 1e308i the phase of the Lanczos power is infinite.
+        ("0,5+10^308*i", ()),
+        ("0,5+10^308*i", ("--json",)),
+    ],
+    ids=["human", "json", "underflow-human", "underflow-json", "lanczos-phase-human", "lanczos-phase-json"],
 )
 def test_a_far_imaginary_shift_is_a_numeric_failure(capsys, shifts, flags):
     # 1000 units up the imaginary axis, samples left of 1/2 take the
@@ -216,6 +224,15 @@ def test_a_far_imaginary_shift_is_a_numeric_failure(capsys, shifts, flags):
     code, out, err = run(capsys, "member", shifts, "G(1)", "--verify", *flags)
     assert (code, out) == (1, "")
     assert err == "error: a Gamma value at a sample point is out of floating-point range\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
+@pytest.mark.parametrize("shifts", ["10^400", "0,1+10^400*i"], ids=["real", "imaginary"])
+def test_a_shift_past_the_float_range_is_a_numeric_failure(capsys, shifts, flags):
+    # A shift of 10^400 or 10^400*i has no double to sample Gamma at.
+    code, out, err = run(capsys, "member", shifts, "G(0)", "--verify", *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: a shift is out of floating-point range\n"
 
 
 def test_certificate_without_generators(capsys):

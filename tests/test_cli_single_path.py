@@ -14,7 +14,7 @@ import json
 import pytest
 
 from gamma_ideal import cli, ideal
-from gamma_ideal.ideal import Certificate
+from gamma_ideal.ideal import Certificate, Verdict
 from test_cli_bytes import IDENTITY, corpus, invoke
 from test_output_cost import counter
 
@@ -144,6 +144,14 @@ def test_text_is_rendered_from_the_json_payload(command):
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
 def test_member_certify_re_expands_once(monkeypatch, capsys, flags):
     calls = counter(monkeypatch, Certificate, "recombined")
+    assert cli.main(["member", "--certify", *flags, "0,1,2", IDENTITY]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_member_certify_prints_the_verdict_payload(monkeypatch, capsys, flags):
+    calls = counter(monkeypatch, Verdict, "as_payload")
     assert cli.main(["member", "--certify", *flags, "0,1,2", IDENTITY]) == 0
     capsys.readouterr()
     assert len(calls) == 1

@@ -472,6 +472,26 @@ def test_a_one_term_operand_builds_no_term_sums(monkeypatch):
     assert len(built) == 1
 
 
+SCALAR_OPERANDS = {
+    "int": 3,
+    "scalar": GaussianRational(Fraction(1, 2), -1),
+    "unipoly": UniPoly([1, 2]),
+    "zero": 0,
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_OPERANDS)
+def test_a_scalar_operand_is_coerced_as_in_sum_and_difference(monkeypatch, name):
+    """``p * c`` and ``c * p`` coerce ``c`` to a constant, as ``+`` and ``-``
+    do, and equal the one-term product in value and term order."""
+    factor, p = SCALAR_OPERANDS[name], CANCELLING[1]
+    one_term = storage(p * GammaPoly.constant(2, factor))
+    assert one_term == added_one_by_one((m, c * factor) for m, c in p.terms.items())
+    coerced = counter(monkeypatch, GammaPoly, "_coerce")
+    assert storage(p * factor) == storage(factor * p) == one_term
+    assert [args[1] for args in coerced] == [factor, factor]
+
+
 # -- text
 
 

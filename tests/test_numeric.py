@@ -191,6 +191,28 @@ def test_overflows_as_the_scalar_lanczos_does(point):
     assert str(got.value) == str(expected.value)
 
 
+def test_an_infinite_lanczos_phase_is_a_float_range_error():
+    # Near 1e308i the phase of t ** (z + 1/2) is infinite, which Python's
+    # complex power reports as a ZeroDivisionError.
+    with pytest.raises(numeric.FloatRangeError):
+        gamma_values([5 + 1e308j])
+
+
+@pytest.mark.parametrize("shifts", ["10^400", "0,1+10^400*i"], ids=["real", "imaginary"])
+def test_a_shift_past_the_float_range_is_a_float_range_error(shifts):
+    sys = system(shifts)
+    p = GammaPoly.variable(sys.arity, sys.arity - 1)
+    verdict = decide_membership(p, sys)
+    calls = [
+        lambda: draw_samples(sys, 20, 0),
+        lambda: evaluate_poly(p, sys, complex(0.5)),
+        lambda: verify_verdict(verdict, sys, n_samples=20, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(numeric.FloatRangeError, match="^a shift is out of floating-point range$"):
+            call()
+
+
 # -- pole geometry
 
 

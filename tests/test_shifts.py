@@ -321,3 +321,18 @@ def test_generators_of_a_chain_take_two_products_per_member(monkeypatch):
     assert len(products) <= 2 * (n - 1)
     monkeypatch.undo()
     assert generators[-1].multiplier == reference_rising_factorial(to_scalar(0), n - 1)
+
+
+def test_a_generator_is_built_from_its_two_terms_target_first(monkeypatch):
+    products = counter(monkeypatch, GammaPoly, "__mul__")
+    differences = counter(monkeypatch, GammaPoly, "__sub__")
+    sys = build_shift_system([0, 3, HALF, 1, 2, HALF + 2])
+    relations = [*sys.generators(), generating_relation(sys, 0, 4)]
+    assert products == differences == []
+
+    def unit(index):
+        return tuple(int(k == index) for k in range(sys.arity))
+
+    for r in relations:
+        terms = [(unit(r.target), UniPoly.one()), (unit(r.source), -r.multiplier)]
+        assert list(r.as_poly.terms.items()) == terms
