@@ -26,13 +26,14 @@ those two alone make the certificate a proof.  The guards raise
 ``AssertionError`` explicitly, so ``python -O`` keeps them.
 
 The passes and the re-expansion add into ``poly.TermSums``: per monomial, int
-lists over one denominator, with each coefficient made canonical once.
+lists over one denominator.  Each pass hands its sums to the next as they
+are, open, so a route makes its remainder canonical once, after its last
+pass, and each cofactor once, after its own pass.
 """
 
 from __future__ import annotations
 
-from operator import add
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple, Union
 
 from ._record import Record, setfield
 from .poly import GammaPoly, TermSums, UniPoly, gamma_poly_text, input_and_normal_text
@@ -75,8 +76,12 @@ class Certificate(Record):
             total.add(mono, coeff)
         for cofactor, relation in zip(self.cofactors, self.generators):
             for g_mono, g_coeff in relation.as_poly.terms.items():
+                raised = [(k, e) for k, e in enumerate(g_mono) if e]
                 for mono, coeff in cofactor.terms.items():
-                    total.add_product(tuple(map(add, mono, g_mono)), coeff, g_coeff)
+                    image = list(mono)
+                    for k, e in raised:
+                        image[k] += e
+                    total.add_product(tuple(image), coeff, g_coeff)
         return GammaPoly._build(self.normal_form.arity, total.terms())
 
     def is_exact(self) -> bool:
@@ -137,13 +142,16 @@ class Verdict(Record):
 
 
 def _substitute(
-    terms: Mapping, j: int, r: int, multiplier: UniPoly, cofactor: Optional[TermSums] = None
-) -> Dict:
-    """The terms with G(j) -> m * G(r), m the multiplier, in one pass.
+    terms: Union[Mapping, TermSums], j: int, r: int, m: UniPoly, cofactor: Optional[TermSums] = None
+) -> TermSums:
+    """The terms with G(j) -> m * G(r), m the multiplier, in one pass, as
+    the open sums of a new ``TermSums``.
 
-    Terms free of G(j) pass through by reference, and a term c*M holding
-    G(j)^e is multiplied once by m^e, straight into the result.  Given a
-    ``cofactor``, the telescoping shares of the move are added into it too:
+    ``terms`` is a polynomial's term map or the ``TermSums`` of the pass
+    before, whose entries it takes over as they are.  Terms free of G(j)
+    pass through by reference, and a term c*M holding G(j)^e is multiplied
+    once by m^e, straight into the result.  Given a ``cofactor``, the
+    telescoping shares of the move are added into it too:
 
         G(j)^e - (m G(r))^e = (G(j) - m G(r)) * sum_{k<e} G(j)^(e-1-k) (m G(r))^k,
 
@@ -152,12 +160,12 @@ def _substitute(
     from one table per pass, which holds m^0 = 1 and m^1 = m from the start
     and the higher powers from their first use.
     """
-    left, powers = TermSums(), {0: UniPoly.one(), 1: multiplier}
+    left, powers = TermSums(), {0: UniPoly.one(), 1: m}
 
     def power(e: int) -> UniPoly:
         factor = powers.get(e)
         if factor is None:
-            factor = powers[e] = multiplier ** e
+            factor = powers[e] = m ** e
         return factor
 
     for mono, coeff in terms.items():
@@ -175,7 +183,7 @@ def _substitute(
         image[j] = 0
         image[r] = base + exponent
         left.add_product(tuple(image), coeff, power(exponent))
-    return left.terms()
+    return left
 
 
 def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
@@ -196,7 +204,7 @@ def normal_form(p: GammaPoly, sys: ShiftSystem) -> GammaPoly:
     terms = p.terms
     for j, prev, step in steps:
         terms = _substitute(terms, j, prev, step)
-    return GammaPoly._build(p.arity, terms)
+    return GammaPoly._build(p.arity, terms.terms())
 
 
 def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
@@ -206,8 +214,8 @@ def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
     rising-factorial multiplier) is eliminated by one ``_substitute`` pass
     that moves G(j) straight to G(r) and collects cofactor j from the
     telescoping shares, in ascending target order, each pass over the terms
-    left by the one before.  What is left after the last pass is the normal
-    form.
+    left open by the one before.  What is left after the last pass is the
+    normal form.
 
     These are the cofactors of the multivariate division by the generators
     that always eliminates the lowest-indexed non-representative of the
@@ -230,7 +238,7 @@ def certify(p: GammaPoly, sys: ShiftSystem) -> Certificate:
         input=p,
         generators=generators,
         cofactors=tuple(cofactors),
-        normal_form=GammaPoly._build(p.arity, terms),
+        normal_form=GammaPoly._build(p.arity, terms.terms()),
     )
 
 

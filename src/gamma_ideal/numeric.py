@@ -72,7 +72,8 @@ class SamplingError(RuntimeError):
 class FloatRangeError(OverflowError):
     """A shift, a coefficient of the polynomial, the sine of the reflection
     formula or the Lanczos power far from the real axis, or a Gamma value
-    that underflows to 0 is past the floating-point range."""
+    that underflows to 0 or comes out NaN (as at 5+1e100i, where the Lanczos
+    power overflows twice) is past the floating-point range."""
 
 
 def nearest_pole(z: complex) -> Tuple[int, float]:
@@ -142,6 +143,10 @@ def _lanczos_values(points: List[complex]) -> List[complex]:
         values = [next(reflected) if left else g for g, left in zip(values, reflect)]
     if 0j in values:  # Gamma has no zeros: the value underflowed
         raise FloatRangeError("a Gamma value underflows to 0")
+    # Far up the imaginary axis, as at 5+1e100i, the power's modulus and its
+    # damping both overflow, and their quotient is NaN.
+    if any(map(cmath.isnan, values)):
+        raise FloatRangeError("a Gamma value is not a number")
     return values
 
 

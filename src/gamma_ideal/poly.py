@@ -293,24 +293,22 @@ class UniPoly:
 def _convolve_into(re: List[int], im: List[int], a: Parts, b: Parts) -> None:
     """Add the product of the Gaussian-integer sequences a and b, each given
     as its (real parts, imaginary parts), into the parts re and im, which
-    must be at least len(a[0]) + len(b[0]) - 1 long."""
+    must be at least len(a[0]) + len(b[0]) - 1 long.  Realness is tested
+    once per call: two real sequences take one real loop, and any other
+    pair the Gaussian one.  Zero places of a are skipped."""
     a_re, a_im = a
     b_re, b_im = b
-    b_real = not any(b_im)
+    if not any(a_im) and not any(b_im):
+        for i, ar in enumerate(a_re):
+            if ar:
+                for k, br in enumerate(b_re, i):
+                    re[k] += ar * br
+        return
     for i, ar, ai in zip(count(), a_re, a_im):
-        if ai:
+        if ar or ai:
             for k, br, bi in zip(count(i), b_re, b_im):
                 re[k] += ar * br - ai * bi
                 im[k] += ar * bi + ai * br
-        elif not ar:
-            continue
-        elif b_real:
-            for k, br in enumerate(b_re, i):
-                re[k] += ar * br
-        else:
-            for k, br, bi in zip(count(i), b_re, b_im):
-                re[k] += ar * br
-                im[k] += ar * bi
 
 
 def _unipoly_operand(value: object) -> bool:
@@ -549,7 +547,7 @@ class TermSums:
     monomial, made canonical once, at the end.
 
     A key holds the one coefficient added to it so far, by reference, and
-    from the second addend on a ``[re, im, den]`` entry: the real and
+    from the second addend on an open ``[re, im, den]`` entry: the real and
     imaginary parts of the sum as int lists over one denominator, the
     layout of ``UniPoly`` with lists in place of tuples.  An addend over a
     denominator that does not divide the entry's rescales the entry to their
@@ -560,7 +558,10 @@ class TermSums:
     A key whose sum cancels leaves the map and one that comes back is
     appended, so the key order is that of adding one ``UniPoly`` at a time.
     ``terms`` passes each entry to ``UniPoly._canonical`` and the rest
-    through untouched.
+    through untouched.  ``items`` hands the sums over as they are, and
+    ``add`` and ``add_product`` take an open entry so handed over as an
+    addend or first factor: a rewrite pass of ``ideal`` feeds the next one
+    with nothing made canonical, and the entries move with it.
     """
 
     __slots__ = ("_sums",)
@@ -568,41 +569,51 @@ class TermSums:
     def __init__(self):
         self._sums: Dict[object, Union[UniPoly, List]] = {}
 
-    def add(self, key, coeff: UniPoly) -> None:
+    def items(self):
+        """Each key with its sum as it is: a ``UniPoly`` or an open entry."""
+        return self._sums.items()
+
+    def add(self, key, coeff: Union[UniPoly, List]) -> None:
         held = self._sums.get(key)
         if held is None:
             self._sums[key] = coeff
             return
-        re, im, scale = self._open(key, held, len(coeff._re), coeff._den)
-        for d, r, i in zip(count(), coeff._re, coeff._im):
+        c_re, c_im, c_den = coeff if type(coeff) is list else (coeff._re, coeff._im, coeff._den)
+        re, im, scale = self._open(key, held, len(c_re), c_den)
+        for d, r, i in zip(count(), c_re, c_im):
             re[d] += r * scale
             im[d] += i * scale
         if not any(re) and not any(im):
             del self._sums[key]
 
-    def add_product(self, key, a: UniPoly, b: UniPoly) -> None:
+    def add_product(self, key, a: Union[UniPoly, List], b: UniPoly) -> None:
         """Add a * b at ``key``, convolved into the entry with the shorter
-        operand driving the outer loop; a factor 1 is left out."""
-        if len(b._re) < len(a._re):
-            a, b = b, a
-        if b._re == (1,) and b._im == (0,) and b._den == 1:
+        operand driving the outer loop; a factor 1 is left out.  A fresh
+        entry needs no zero test: a product of nonzero polynomials is not 0."""
+        a_re, a_im, a_den = a if type(a) is list else (a._re, a._im, a._den)
+        b_re, b_im, b_den = b._re, b._im, b._den
+        if b_re == (1,) and b_im == (0,) and b_den == 1:
             return self.add(key, a)
-        if a._re == (1,) and a._im == (0,) and a._den == 1:
+        if a_re == (1,) and a_im == (0,) and a_den == 1:
             return self.add(key, b)
-        a_re, a_im = a._re, a._im
-        den = a._den * b._den
-        size = len(a_re) + len(b._re) - 1
+        if len(b_re) < len(a_re):
+            a_re, a_im, b_re, b_im = b_re, b_im, a_re, a_im
+        den = a_den * b_den
+        size = len(a_re) + len(b_re) - 1
         held = self._sums.get(key)
         if held is None:
             re, im = [0] * size, [0] * size
-            _convolve_into(re, im, (a_re, a_im), (b._re, b._im))
+            _convolve_into(re, im, (a_re, a_im), (b_re, b_im))
             self._sums[key] = [re, im, den]
             return
-        re, im, scale = self._open(key, held, size, den)
-        if scale != 1:
-            a_re = [r * scale for r in a_re]
-            a_im = [i * scale for i in a_im]
-        _convolve_into(re, im, (a_re, a_im), (b._re, b._im))
+        if type(held) is list and held[2] == den and len(held[0]) >= size:
+            re, im, _ = held
+        else:
+            re, im, scale = self._open(key, held, size, den)
+            if scale != 1:
+                a_re = [r * scale for r in a_re]
+                a_im = [i * scale for i in a_im]
+        _convolve_into(re, im, (a_re, a_im), (b_re, b_im))
         if not any(re) and not any(im):
             del self._sums[key]
 

@@ -214,8 +214,24 @@ def test_a_coefficient_past_the_float_range_is_a_numeric_failure(capsys, flags):
         # Near 1e308i the phase of the Lanczos power is infinite.
         ("0,5+10^308*i", ()),
         ("0,5+10^308*i", ("--json",)),
+        # Between them the Lanczos power is NaN.
+        ("0,5+10^100*i", ()),
+        ("0,5+10^100*i", ("--json",)),
+        ("0,5+10^200*i", ()),
+        ("0,5+10^200*i", ("--json",)),
     ],
-    ids=["human", "json", "underflow-human", "underflow-json", "lanczos-phase-human", "lanczos-phase-json"],
+    ids=[
+        "human",
+        "json",
+        "underflow-human",
+        "underflow-json",
+        "lanczos-phase-human",
+        "lanczos-phase-json",
+        "nan-1e100-human",
+        "nan-1e100-json",
+        "nan-1e200-human",
+        "nan-1e200-json",
+    ],
 )
 def test_a_far_imaginary_shift_is_a_numeric_failure(capsys, shifts, flags):
     # 1000 units up the imaginary axis, samples left of 1/2 take the
@@ -398,8 +414,8 @@ def test_gamma_eval_out_of_range_is_a_numeric_failure(capsys, point, text, flags
 )
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
 def test_gamma_eval_far_up_the_imaginary_axis_is_a_numeric_failure(capsys, point, text, flags):
-    """Near 1e308i the Lanczos power underflows to 0.0, which Python refuses
-    to raise to a complex power.  Gamma(3+1000i) is about 5e-675, below the
+    """Near 1e308i the phase of the Lanczos power is infinite, which CPython
+    reports as a domain error.  Gamma(3+1000i) is about 5e-675, below the
     smallest double, and 0.0 is no Gamma value.  Both end as the
     out-of-range line too."""
     code, out, err = run(capsys, "gamma", "--eval", point, *flags)

@@ -198,6 +198,14 @@ def test_an_infinite_lanczos_phase_is_a_float_range_error():
         gamma_values([5 + 1e308j])
 
 
+@pytest.mark.parametrize("point", [5 + 1e100j, 5 + 1e200j])
+def test_a_nan_gamma_value_is_a_float_range_error(point):
+    # Here |t| ** (x + 1/2) and the damping exp(pi/2 * y) both overflow, and
+    # the power is inf / inf: NaN.  An infinite value is left to the caller.
+    with pytest.raises(numeric.FloatRangeError, match="^a Gamma value is not a number$"):
+        gamma_values([point])
+
+
 @pytest.mark.parametrize("shifts", ["10^400", "0,1+10^400*i"], ids=["real", "imaginary"])
 def test_a_shift_past_the_float_range_is_a_float_range_error(shifts):
     sys = system(shifts)
